@@ -4,9 +4,6 @@ Every subcommand prints a single JSON document on standard output so runs
 are diffable; all randomized subcommands take explicit seeds and repeated
 invocations with the same flags emit byte-identical output.  Exit codes: 0
 on success, 1 on file or validation failures, 2 on usage errors.
-
-The tool runs single-threaded; the ``DMP_THREADS`` environment variable is
-accepted as an upper bound on internal parallelism and is trivially honored.
 """
 
 from __future__ import annotations
@@ -114,7 +111,7 @@ def _cmd_demand(args) -> int:
 def _cmd_clear(args) -> int:
     inst = load_instance(args.instance)
     if args.shards:
-        market = clearing.shards_to_items(inst, load_shardset(args.shards))
+        market = clearing.shards_to_items(inst, _load_shards(args, inst))
     else:
         market = clearing.market_from_prices(inst, load_prices(args.prices))
     result = clearing.clearabilize(market)
@@ -177,6 +174,8 @@ def _cmd_check(args) -> int:
             "relaxed_feasible": not fixtures.appendix_b_check(include_monotonicity=False),
         })
         return 0
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     instances = _check_instances(args)
     if args.property == "ksubmodular":
         gap = properties.partition_marginal_gaps(instances, args.samples, args.seed)

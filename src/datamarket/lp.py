@@ -1,11 +1,19 @@
-"""Dense linear-program solver: two-phase primal simplex with Bland's rule.
+"""Dense linear-program solver: two-phase primal simplex on a numpy tableau.
 
-Problems are stated as ``maximize c.x subject to rows, x >= 0`` where each row
-is ``(coefficients, relation, rhs)`` with relation one of ``"<="``, ``"="``,
-``">="``.  The solver returns an optimal basic feasible solution (a vertex of
-the feasible region) whenever the optimum is finite, and is deterministic for
-a fixed input: entering and leaving variables are chosen by Bland's
-lowest-index rule, which also rules out cycling.
+Problems are stated as ``maximize c.x subject to A x (relations) b, x >= 0``
+with each relation one of ``"<="``, ``"="``, ``">="``.  The solver returns an
+optimal basic feasible solution (a vertex of the feasible region) whenever
+the optimum is finite.
+
+Pivoting uses largest-coefficient pricing: the entering column is the one
+with the largest reduced cost, ties going to the lowest index, and the
+leaving row passes the minimum-ratio test, ties going to the lowest basic
+variable.  Largest-coefficient pricing can cycle on a degenerate vertex, so
+after ``_DEGENERATE_RUN`` consecutive degenerate pivots the entering column
+is chosen by Bland's lowest-index rule instead, until the next nondegenerate
+pivot.  Bland's rule cannot cycle and every nondegenerate pivot strictly
+improves the objective, so the method terminates.  Every choice is a fixed
+function of the tableau, so the solver is deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -27,34 +35,67 @@ EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 
+# Consecutive degenerate pivots after which Bland's rule picks the entering
+# column until the objective moves again.
+_DEGENERATE_RUN = 20
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """maximize objective . x  subject to the rows, with x >= 0 implicit."""
+    """maximize c . x  subject to  A[k] . x  relations[k]  b[k]  for every
+    row k, with x >= 0 implicit.  All four fields are numpy arrays."""
 
-    objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], str, float], ...]
+    c: np.ndarray
+    A: np.ndarray
+    relations: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.c, dtype=float)
+        A = np.asarray(self.A, dtype=float)
+        relations = np.asarray(self.relations, dtype=str)
+        b = np.asarray(self.b, dtype=float)
+        if c.ndim != 1 or A.shape != (b.size, c.size) or relations.shape != b.shape:
+            raise ValueError(
+                f"inconsistent shapes: c {c.shape}, A {A.shape}, "
+                f"relations {relations.shape}, b {b.shape}"
+            )
+        unknown = set(relations.tolist()) - set(_RELATIONS)
+        if unknown:
+            raise ValueError(f"unknown relation {min(unknown)!r}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"constraint rhs must be finite, got {b[~np.isfinite(b)][0]}")
+        for name, value in (("c", c), ("A", A), ("relations", relations), ("b", b)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def make(cls, objective, rows) -> "LpProblem":
-        objective = tuple(float(c) for c in objective)
-        n = len(objective)
-        norm = []
-        for coeffs, rel, rhs in rows:
-            coeffs = tuple(float(a) for a in coeffs)
-            if len(coeffs) != n:
-                raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-            rhs = float(rhs)
-            if math.isnan(rhs) or math.isinf(rhs):
-                raise ValueError(f"constraint rhs must be finite, got {rhs}")
-            norm.append((coeffs, rel, rhs))
-        return cls(objective, tuple(norm))
+        """Build from an objective and ``(coefficients, relation, rhs)`` rows."""
+        c = np.array(objective, dtype=float)
+        n = c.size
+        coeffs, relations, rhs = [], [], []
+        for row, rel, value in rows:
+            row = np.array(row, dtype=float)
+            if row.shape != (n,):
+                raise ValueError(f"constraint has {row.size} coefficients, expected {n}")
+            coeffs.append(row)
+            relations.append(rel)
+            rhs.append(float(value))
+        A = np.array(coeffs).reshape(len(coeffs), n)
+        return cls(c, A, np.array(relations, dtype=str), np.array(rhs))
+
+    @property
+    def objective(self) -> tuple[float, ...]:
+        return tuple(self.c.tolist())
+
+    @property
+    def constraints(self) -> tuple[tuple[np.ndarray, str, float], ...]:
+        """``(coefficients, relation, rhs)`` per row; coefficients are views of ``A``."""
+        return tuple(zip(self.A, self.relations.tolist(), self.b.tolist()))
 
     @property
     def num_variables(self) -> int:
-        return len(self.objective)
+        return self.c.size
 
 
 @dataclass(frozen=True)
@@ -63,145 +104,149 @@ class LpSolution:
     x: tuple[float, ...]
     objective_value: float
     basis: tuple[int, ...]
+    phase1_pivots: int = 0  # includes pivots that move artificials out of the basis
+    phase2_pivots: int = 0
+    degenerate_pivots: int = 0  # simplex pivots whose step was at most PIVOT_TOL
 
 
 class _Tableau:
     """Standard-form tableau: original variables, then slacks/surpluses, then
-    artificials; rows already normalized to non-negative rhs."""
+    artificials, then the rhs; rows already normalized to non-negative rhs."""
 
     def __init__(self, problem: LpProblem):
-        n = problem.num_variables
-        rows = []
-        for coeffs, rel, rhs in problem.constraints:
-            if rhs < 0:
-                coeffs = tuple(-a for a in coeffs)
-                rhs = -rhs
-                rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-            rows.append((coeffs, rel, rhs))
+        m, n = problem.A.shape
+        flip = problem.b < 0
+        rel = problem.relations
+        rel = np.where(flip & (rel == LESS_EQUAL), GREATER_EQUAL,
+                       np.where(flip & (rel == GREATER_EQUAL), LESS_EQUAL, rel))
+        sign = np.where(flip, -1.0, 1.0)
+        slack_rows = np.flatnonzero(rel != EQUAL)
+        art_rows = np.flatnonzero(rel != LESS_EQUAL)
+        n_slack, n_art = slack_rows.size, art_rows.size
+        slack_cols = n + np.arange(n_slack)
+        art_cols = n + n_slack + np.arange(n_art)
 
-        m = len(rows)
-        n_slack = sum(1 for _, rel, _ in rows if rel != EQUAL)
-        n_art = sum(1 for _, rel, _ in rows if rel != LESS_EQUAL)
-        width = n + n_slack + n_art
-        T = np.zeros((m, width + 1))
-        basis = np.full(m, -1, dtype=int)
-        slack_at = n
-        art_at = n + n_slack
-        for r, (coeffs, rel, rhs) in enumerate(rows):
-            T[r, :n] = coeffs
-            T[r, -1] = rhs
-            if rel == LESS_EQUAL:
-                T[r, slack_at] = 1.0
-                basis[r] = slack_at
-                slack_at += 1
-            elif rel == GREATER_EQUAL:
-                T[r, slack_at] = -1.0
-                slack_at += 1
-                T[r, art_at] = 1.0
-                basis[r] = art_at
-                art_at += 1
-            else:
-                T[r, art_at] = 1.0
-                basis[r] = art_at
-                art_at += 1
+        T = np.zeros((m, n + n_slack + n_art + 1))
+        np.multiply(problem.A, sign[:, None], out=T[:, :n])
+        T[:, -1] = problem.b * sign
+        T[slack_rows, slack_cols] = np.where(rel[slack_rows] == LESS_EQUAL, 1.0, -1.0)
+        T[art_rows, art_cols] = 1.0
+        basis = np.empty(m, dtype=np.intp)
+        basis[slack_rows] = slack_cols  # every <= row keeps its slack basic
+        basis[art_rows] = art_cols
 
         self.T = T
         self.basis = basis
         self.n_original = n
         self.n_structural = n + n_slack
         self.n_artificial = n_art
+        self.pivots = [0, 0]  # per phase; artificials leaving the basis count in phase 1
+        self.phase = 0
+        self.degenerate_pivots = 0
 
-    def _pivot(self, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int, reduced: np.ndarray | None = None) -> None:
+        """Pivot in place, touching only the rows the pivot column reaches."""
         T = self.T
-        T[row] = T[row] / T[row, col]
-        factor = T[:, col].copy()
-        factor[row] = 0.0
-        T -= np.outer(factor, T[row])
+        pivot_row = T[row]
+        pivot_row /= pivot_row[col]
+        factors = T[:, col].tolist()
+        for r in np.flatnonzero(T[:, col]).tolist():
+            if r != row:
+                T[r] -= factors[r] * pivot_row
+        if reduced is not None:
+            reduced -= reduced[col] * pivot_row[:-1]
         self.basis[row] = col
+        self.pivots[self.phase] += 1
 
-    def _run_simplex(self, cost: np.ndarray, active: int) -> None:
-        """Maximize cost.x over columns [0, active) with Bland's rule.
+    def _leaving_row(self, col: int) -> int:
+        """Minimum-ratio row for entering ``col``; ties within PIVOT_TOL go to
+        the lower basic variable.  -1 when no entry of the column is positive."""
+        T = self.T
+        column = T[:, col]
+        rows = np.flatnonzero(column > PIVOT_TOL)
+        ratios = T[rows, -1] / column[rows]
+        basis = self.basis
+        leaving = -1
+        best_ratio = math.inf
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - PIVOT_TOL or (
+                abs(ratio - best_ratio) <= PIVOT_TOL
+                and leaving >= 0
+                and basis[r] < basis[leaving]
+            ):
+                best_ratio = ratio
+                leaving = r
+        return leaving
+
+    def _run_simplex(self, cost: np.ndarray) -> None:
+        """Maximize cost.x over every column of the tableau.
 
         Raises _Unbounded if an improving column has no positive entry.
         """
         T = self.T
-        m = T.shape[0]
+        # basic columns stay exact unit vectors, so their reduced costs stay 0
+        reduced = cost - cost[self.basis] @ T[:, :-1]
+        reduced[self.basis] = 0.0
+        degenerate_run = 0
         while True:
-            # reduced costs of the current basis
-            red = cost[:active].copy()
-            for r in range(m):
-                cb = cost[self.basis[r]]
-                if cb != 0.0:
-                    red -= cb * T[r, :active]
-            in_basis = np.zeros(active, dtype=bool)
-            in_basis[self.basis] = True
-            entering = -1
-            for j in range(active):
-                if not in_basis[j] and red[j] > PIVOT_TOL:
-                    entering = j
-                    break
-            if entering < 0:
-                return
-            col = T[:, entering]
-            leaving = -1
-            best_ratio = math.inf
-            for r in range(m):
-                if col[r] > PIVOT_TOL:
-                    ratio = T[r, -1] / col[r]
-                    if ratio < best_ratio - PIVOT_TOL or (
-                        abs(ratio - best_ratio) <= PIVOT_TOL
-                        and leaving >= 0
-                        and self.basis[r] < self.basis[leaving]
-                    ):
-                        best_ratio = ratio
-                        leaving = r
+            if degenerate_run < _DEGENERATE_RUN:
+                entering = int(np.argmax(reduced))
+                if reduced[entering] <= PIVOT_TOL:
+                    return
+            else:
+                improving = np.flatnonzero(reduced > PIVOT_TOL)
+                if not improving.size:
+                    return
+                entering = int(improving[0])
+            leaving = self._leaving_row(entering)
             if leaving < 0:
                 raise _Unbounded()
-            self._pivot(leaving, entering)
+            step = T[leaving, -1] / T[leaving, entering]
+            self._pivot(leaving, entering, reduced)
+            if step <= PIVOT_TOL:
+                degenerate_run += 1
+                self.degenerate_pivots += 1
+            else:
+                degenerate_run = 0
 
     def phase_one(self) -> float:
         """Drive artificials to zero; returns the residual infeasibility."""
-        width = self.T.shape[1] - 1
-        cost = np.zeros(width)
+        cost = np.zeros(self.T.shape[1] - 1)
         cost[self.n_structural:] = -1.0
-        self._run_simplex(cost, width)
-        infeasibility = float(
-            sum(self.T[r, -1] for r in range(self.T.shape[0]) if self.basis[r] >= self.n_structural)
-        )
-        return infeasibility
+        self._run_simplex(cost)
+        return float(self.T[self.basis >= self.n_structural, -1].sum())
 
     def drop_artificials(self) -> None:
         """Pivot basic artificials out (or drop redundant rows), then remove
         the artificial columns from the tableau."""
-        keep_rows = []
-        for r in range(self.T.shape[0]):
-            if self.basis[r] < self.n_structural:
-                keep_rows.append(r)
-                continue
-            pivot_col = -1
-            for j in range(self.n_structural):
-                if abs(self.T[r, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                self._pivot(r, pivot_col)
-                keep_rows.append(r)
-            # else: the row is redundant (all zeros over real columns); drop it
-        self.T = self.T[keep_rows][:, list(range(self.n_structural)) + [-1]]
-        self.basis = self.basis[keep_rows]
+        keep = np.ones(self.T.shape[0], dtype=bool)
+        for r in np.flatnonzero(self.basis >= self.n_structural).tolist():
+            candidates = np.flatnonzero(np.abs(self.T[r, : self.n_structural]) > PIVOT_TOL)
+            if candidates.size:
+                self._pivot(r, int(candidates[0]))
+            else:
+                keep[r] = False  # redundant: all zeros over the real columns
+        self.T = self.T[np.ix_(keep, np.r_[: self.n_structural, -1])]
+        self.basis = self.basis[keep]
 
-    def phase_two(self, objective) -> None:
+    def phase_two(self, objective: np.ndarray) -> None:
+        self.phase = 1
         cost = np.zeros(self.n_structural)
         cost[: self.n_original] = objective
-        self._run_simplex(cost, self.n_structural)
+        self._run_simplex(cost)
 
-    def solution(self, objective) -> LpSolution:
+    def result(self, status: str, objective: np.ndarray | None = None) -> LpSolution:
+        counts = dict(phase1_pivots=self.pivots[0], phase2_pivots=self.pivots[1],
+                      degenerate_pivots=self.degenerate_pivots)
+        if status == INFEASIBLE:
+            return LpSolution(INFEASIBLE, (), math.nan, (), **counts)
+        if status == UNBOUNDED:
+            return LpSolution(UNBOUNDED, (), math.inf, (), **counts)
         x = np.zeros(self.n_structural)
-        for r in range(self.T.shape[0]):
-            x[self.basis[r]] = self.T[r, -1]
-        primal = tuple(float(v) for v in x[: self.n_original])
-        value = float(sum(c * v for c, v in zip(objective, primal)))
-        return LpSolution(OPTIMAL, primal, value, tuple(sorted(int(b) for b in self.basis)))
+        x[self.basis] = self.T[:, -1]
+        primal = x[: self.n_original]
+        return LpSolution(OPTIMAL, tuple(primal.tolist()), float(objective @ primal),
+                          tuple(sorted(self.basis.tolist())), **counts)
 
 
 class _Unbounded(Exception):
@@ -215,29 +260,27 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     satisfies every constraint within ``FEASIBILITY_TOL`` and has at most as
     many positive entries as the standard-form tableau has rows.
     """
-    problem = LpProblem.make(problem.objective, problem.constraints)
     n = problem.num_variables
-    if not problem.constraints:
-        if any(c > PIVOT_TOL for c in problem.objective):
+    if not problem.b.size:
+        if np.any(problem.c > PIVOT_TOL):
             return LpSolution(UNBOUNDED, (), math.inf, ())
         return LpSolution(OPTIMAL, (0.0,) * n, 0.0, ())
 
     tab = _Tableau(problem)
     if tab.n_artificial:
         if tab.phase_one() > FEASIBILITY_TOL:
-            return LpSolution(INFEASIBLE, (), math.nan, ())
+            return tab.result(INFEASIBLE)
         tab.drop_artificials()
     try:
-        tab.phase_two(problem.objective)
+        tab.phase_two(problem.c)
     except _Unbounded:
-        return LpSolution(UNBOUNDED, (), math.inf, ())
-    return tab.solution(problem.objective)
+        return tab.result(UNBOUNDED)
+    return tab.result(OPTIMAL, problem.c)
 
 
 def check_feasible(problem: LpProblem) -> bool:
     """Phase-1 only: does a feasible point exist (within tolerance)?"""
-    problem = LpProblem.make(problem.objective, problem.constraints)
-    if not problem.constraints:
+    if not problem.b.size:
         return True
     tab = _Tableau(problem)
     if not tab.n_artificial:
@@ -247,13 +290,8 @@ def check_feasible(problem: LpProblem) -> bool:
 
 def constraint_residuals(problem: LpProblem, x) -> list[float]:
     """Violation amount of each constraint at ``x`` (0 when satisfied)."""
-    out = []
-    for coeffs, rel, rhs in problem.constraints:
-        lhs = sum(a * v for a, v in zip(coeffs, x))
-        if rel == LESS_EQUAL:
-            out.append(max(0.0, lhs - rhs))
-        elif rel == GREATER_EQUAL:
-            out.append(max(0.0, rhs - lhs))
-        else:
-            out.append(abs(lhs - rhs))
-    return out
+    excess = problem.A @ np.asarray(x, dtype=float) - problem.b
+    rel = problem.relations
+    return np.where(rel == LESS_EQUAL, np.maximum(excess, 0.0),
+                    np.where(rel == GREATER_EQUAL, np.maximum(-excess, 0.0),
+                             np.abs(excess))).tolist()

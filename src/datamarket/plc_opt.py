@@ -12,8 +12,9 @@ linear.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import lp
 from .demand import optimal_demand
@@ -31,41 +32,22 @@ class PlcSolution:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Column map of the pricing LP."""
+    """Column map of the pricing LP: the z columns of each dataset in turn,
+    then one revenue column per paying buyer."""
 
-    slopes: tuple[tuple[float, ...], ...]  # distinct values per dataset, ascending
-    z_start: tuple[int, ...]               # first z column of each dataset
-    r_col: dict[int, int]                  # buyer -> revenue column
-    num_vars: int
-
-
-def _layout(inst: Instance) -> _Layout:
-    slopes = tuple(tuple(sorted(set(inst.values[i][j] for i in range(inst.n))))
-                   for j in range(inst.m))
-    z_start = []
-    at = 0
-    for j in range(inst.m):
-        z_start.append(at)
-        at += len(slopes[j])
-    r_col = {}
-    for i in range(inst.n):
-        b = inst.budgets[i]
-        if math.isinf(b) or b <= 0:
-            continue  # infinite budgets never bind; zero budgets never pay
-        r_col[i] = at
-        at += 1
-    return _Layout(slopes, tuple(z_start), r_col, at)
+    slopes: tuple[np.ndarray, ...]  # distinct values per dataset, ascending
+    z_start: tuple[int, ...]        # first z column of each dataset
+    payers: np.ndarray              # buyers with a revenue column, ascending
+    num_z: int
 
 
-def _desire_coefficients(inst: Instance, layout: _Layout, i: int) -> list[tuple[int, float]]:
-    """(column, coefficient) pairs of buyer i's desire as a function of z."""
-    out = []
-    for j in range(inst.m):
-        vij = inst.values[i][j]
-        for t, slope in enumerate(layout.slopes[j]):
-            if slope <= vij + TOLERANCE:
-                out.append((layout.z_start[j] + t, slope))
-    return out
+def _layout(values: np.ndarray, budgets: np.ndarray) -> _Layout:
+    slopes = tuple(np.array(sorted(set(column.tolist()))) for column in values.T)
+    sizes = [s.size for s in slopes]
+    z_start = tuple(int(z) for z in np.cumsum([0] + sizes[:-1]))
+    # infinite budgets never bind; zero budgets never pay
+    payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
+    return _Layout(slopes, z_start, payers, sum(sizes))
 
 
 def build_pricing_lp(inst: Instance) -> lp.LpProblem:
@@ -74,32 +56,29 @@ def build_pricing_lp(inst: Instance) -> lp.LpProblem:
 
 
 def _build(inst: Instance) -> tuple[lp.LpProblem, _Layout]:
-    layout = _layout(inst)
-    objective = [0.0] * layout.num_vars
-    rows = []
+    values = np.array(inst.values, dtype=float).reshape(inst.n, inst.m)
+    budgets = np.array(inst.budgets, dtype=float)
+    layout = _layout(values, budgets)
+    k = layout.payers.size
+    num_vars = layout.num_z + k
+    r_cols = layout.num_z + np.arange(k)
+    objective = np.zeros(num_vars)
+    matrix = np.zeros((2 * k + inst.m, num_vars))
 
-    for i, col in layout.r_col.items():
-        objective[col] = 1.0
-        budget_row = [0.0] * layout.num_vars
-        budget_row[col] = 1.0
-        rows.append((tuple(budget_row), lp.LESS_EQUAL, inst.budgets[i]))
-    for i, col in layout.r_col.items():
-        desire_row = [0.0] * layout.num_vars
-        desire_row[col] = 1.0
-        for z_col, coef in _desire_coefficients(inst, layout, i):
-            desire_row[z_col] -= coef
-        rows.append((tuple(desire_row), lp.LESS_EQUAL, 0.0))
-    for i in range(inst.n):
-        if math.isinf(inst.budgets[i]):
-            for z_col, coef in _desire_coefficients(inst, layout, i):
-                objective[z_col] += coef
-    for j in range(inst.m):
-        row = [0.0] * layout.num_vars
-        for t in range(len(layout.slopes[j])):
-            row[layout.z_start[j] + t] = 1.0
-        rows.append((tuple(row), lp.EQUAL, 1.0))
-
-    return lp.LpProblem.make(objective, rows), layout
+    objective[r_cols] = 1.0
+    matrix[np.arange(k), r_cols] = 1.0          # budget rows: r_i <= b_i
+    matrix[k + np.arange(k), r_cols] = 1.0      # desire rows: r_i - desire_i(z) <= 0
+    unbounded = np.isinf(budgets)
+    for j, slopes in enumerate(layout.slopes):
+        cols = slice(layout.z_start[j], layout.z_start[j] + slopes.size)
+        # buyer i pays slope t per unit of every shard whose slope she can afford
+        affordable = slopes <= values[:, j, None] + TOLERANCE
+        matrix[k:2 * k, cols] = np.where(affordable[layout.payers], -slopes, 0.0)
+        objective[cols] = np.where(affordable[unbounded], slopes, 0.0).sum(axis=0)
+        matrix[2 * k + j, cols] = 1.0           # shard sizes sum to one
+    rhs = np.concatenate((budgets[layout.payers], np.zeros(k), np.ones(inst.m)))
+    relations = np.array([lp.LESS_EQUAL] * (2 * k) + [lp.EQUAL] * inst.m)
+    return lp.LpProblem(objective, matrix, relations, rhs), layout
 
 
 def solve_plc(inst: Instance) -> PlcSolution:
@@ -109,24 +88,22 @@ def solve_plc(inst: Instance) -> PlcSolution:
     if solution.status != lp.OPTIMAL:
         raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
 
+    x = np.array(solution.x)
     curves = []
     positive = 0
-    for j in range(inst.m):
-        pairs = []
-        for t, slope in enumerate(layout.slopes[j]):
-            size = solution.x[layout.z_start[j] + t]
-            if size > TOLERANCE:
-                pairs.append((size, slope))
-                positive += 1
-        curves.append(ShardCurve.from_pairs(pairs))
+    for j, slopes in enumerate(layout.slopes):
+        sizes = x[layout.z_start[j]:layout.z_start[j] + slopes.size]
+        kept = sizes > TOLERANCE
+        curves.append(ShardCurve.from_pairs(zip(sizes[kept].tolist(), slopes[kept].tolist())))
+        positive += int(kept.sum())
     shards = tuple(curves)
 
     per_buyer, total = shard_revenue(inst, shards)
-    for i, col in layout.r_col.items():
-        if abs(per_buyer[i] - solution.x[col]) > 1e-6:
+    for i, lp_revenue in zip(layout.payers.tolist(), x[layout.num_z:].tolist()):
+        if abs(per_buyer[i] - lp_revenue) > 1e-6:
             raise RuntimeError(
                 f"revenue mismatch for buyer {i}: curves give {per_buyer[i]}, "
-                f"LP gives {solution.x[col]}"
+                f"LP gives {lp_revenue}"
             )
     return PlcSolution(shards, per_buyer, total, positive)
 

@@ -3,15 +3,18 @@
 Everything here is deliberately implemented apart from the library code it
 checks: the demand oracle is a dense grid search, the linear-pricing oracle
 is a differently ordered exhaustive enumeration with its own revenue
-formula, and the LP oracle enumerates vertices directly.
+formula, the LP oracle enumerates vertices directly, and the pricing-LP
+oracle states the paper's program afresh and hands it to scipy's HiGHS.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
+import pytest
 
 from datamarket.fixtures import gen_random
 from datamarket.model import Instance, ShardCurve
@@ -96,6 +99,46 @@ def lp_vertex_enumeration(objective, rows):
             if best is None or val > best:
                 best = val
     return best
+
+
+def highs_plc_revenue(inst: Instance) -> float:
+    """Optimal separable PLC revenue from the shard-size LP, solved by HiGHS.
+
+    Variables are one shard size per (dataset, distinct buyer value) and one
+    revenue per finite-budget buyer, bounded by her budget; each revenue is
+    capped by the buyer's desire and each dataset's sizes sum to one.
+    Infinite-budget buyers pay their desire in full.  Skips the calling test
+    when scipy is missing.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    columns = [(j, value) for j in range(inst.m)
+               for value in sorted({inst.values[i][j] for i in range(inst.n)})]
+    finite = [i for i in range(inst.n) if not math.isinf(inst.budgets[i])]
+    width = len(columns) + len(finite)
+
+    def desire(i):
+        return [value if value <= inst.values[i][j] + 1e-9 else 0.0 for j, value in columns]
+
+    gain = [0.0] * len(columns) + [1.0] * len(finite)
+    for i in range(inst.n):
+        if math.isinf(inst.budgets[i]):
+            gain[: len(columns)] = [g + d for g, d in zip(gain, desire(i))]
+    a_ub = [[-d for d in desire(i)] + [1.0 if k == slot else 0.0 for k in range(len(finite))]
+            for slot, i in enumerate(finite)]
+    a_eq = [[1.0 if jj == j else 0.0 for jj, _ in columns] + [0.0] * len(finite)
+            for j in range(inst.m)]
+    bounds = [(0.0, None)] * len(columns) + [(0.0, inst.budgets[i]) for i in finite]
+    res = linprog(
+        [-g for g in gain],
+        A_ub=np.array(a_ub).reshape(len(finite), width),
+        b_ub=np.zeros(len(finite)),
+        A_eq=np.array(a_eq),
+        b_eq=np.ones(inst.m),
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def random_piecewise_curve(rng: random.Random):

@@ -4,7 +4,7 @@ import pytest
 
 from datamarket.cli import main
 from datamarket.fixtures import gen_greedy_suboptimal, gen_lingap, gen_nonsub
-from datamarket.model import save_instance, save_prices
+from datamarket.model import prices_to_shardset, save_instance, save_prices, save_shardset
 
 
 @pytest.fixture
@@ -101,6 +101,19 @@ def test_clear_subcommand(capsys, tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(doc["after"]["prices"], doc["before"]["prices"]))
 
 
+@pytest.mark.parametrize("curves", [1, 3])
+def test_clear_rejects_shard_count_mismatch(capsys, tmp_path, curves):
+    inst_path = tmp_path / "inst.json"
+    save_instance(gen_nonsub(0.001), inst_path)  # two datasets
+    shard_path = tmp_path / "shards.json"
+    save_shardset(prices_to_shardset((1.0,) * curves), shard_path)
+    code = main(["clear", "--instance", str(inst_path), "--shards", str(shard_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_gen_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "generated.json"
     code, out = run(capsys, [
@@ -135,6 +148,14 @@ def test_check_extension(capsys):
     code, out = run(capsys, ["check", "--property", "extension", "--samples", "200"])
     assert code == 0
     assert json.loads(out)["holds"] is True
+
+
+@pytest.mark.parametrize("prop", ["ksubmodular", "extension"])
+def test_check_rejects_zero_samples(capsys, prop):
+    assert main(["check", "--property", prop, "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_validate_gaussian(capsys):

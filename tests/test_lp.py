@@ -3,6 +3,8 @@ import random
 import pytest
 
 from datamarket import lp
+from datamarket.fixtures import gen_random
+from datamarket.plc_opt import build_pricing_lp
 from oracle_util import lp_vertex_enumeration
 
 
@@ -63,6 +65,35 @@ def test_beale_cycling_example_terminates():
     sol = lp.solve_lp(make([0.75, -150.0, 1 / 50, -6.0], rows))
     assert sol.status == lp.OPTIMAL
     assert sol.objective_value == pytest.approx(0.05)
+
+
+def test_degenerate_fallback_engages_and_terminates():
+    # Beale's example cycles under largest-coefficient pricing, so only the
+    # switch to Bland's rule after a run of degenerate pivots ends the solve
+    rows = [
+        ((0.25, -60.0, -1 / 25, 9.0), "<=", 0.0),
+        ((0.5, -90.0, -1 / 50, 3.0), "<=", 0.0),
+        ((0.0, 0.0, 1.0, 0.0), "<=", 1.0),
+    ]
+    sol = lp.solve_lp(make([0.75, -150.0, 1 / 50, -6.0], rows))
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == pytest.approx(0.05)
+    assert sol.degenerate_pivots >= lp._DEGENERATE_RUN
+    assert sol.phase1_pivots == 0  # all rows are <= with rhs >= 0
+
+
+def test_repeated_solves_are_identical():
+    problem = build_pricing_lp(gen_random(20, 10, seed=3))
+    first, second = lp.solve_lp(problem), lp.solve_lp(problem)
+    assert first == second  # x, basis and pivot counts alike
+
+
+def test_pivot_count_guard():
+    # Bland's rule alone takes 966 pivots on this slack-budget instance
+    sol = lp.solve_lp(build_pricing_lp(gen_random(30, 15, 41028, budget_scale=16)))
+    assert sol.status == lp.OPTIMAL
+    assert sol.phase1_pivots == 15  # one per shard-size equality row
+    assert sol.phase1_pivots + sol.phase2_pivots <= 140
 
 
 def test_check_feasible():

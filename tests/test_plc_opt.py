@@ -8,7 +8,7 @@ from datamarket.linear_opt import exact_bruteforce
 from datamarket.model import Instance, prices_to_shardset
 from datamarket.plc_opt import build_pricing_lp, extract_allocation, solve_plc
 from datamarket.revenue import shard_revenue
-from oracle_util import instance_battery
+from oracle_util import highs_plc_revenue, instance_battery
 
 EPS = 0.001
 
@@ -122,3 +122,21 @@ def test_solve_plc_is_deterministic():
     second = solve_plc(inst)
     assert first.shards == second.shards
     assert first.per_buyer_revenue == second.per_buyer_revenue
+
+
+@pytest.mark.parametrize("budget_scale", [0.25, 1.0, 4.0, 16.0])
+@pytest.mark.parametrize("n, m", [(10, 5), (20, 10), (30, 15)])
+def test_solve_plc_matches_highs(n, m, budget_scale):
+    for seed in range(3):
+        inst = gen_random(n, m, seed=seed, budget_scale=budget_scale)
+        sol = solve_plc(inst)
+        assert sol.total_revenue == pytest.approx(highs_plc_revenue(inst), rel=1e-7)
+        assert sol.positive_shard_count <= inst.m + inst.n
+        for j, curve in enumerate(sol.shards):
+            buyer_values = {inst.values[i][j] for i in range(inst.n)}
+            assert all(slope in buyer_values for _size, slope in curve.shards)
+        for i in range(inst.n):
+            desire = sum(size * slope for j, curve in enumerate(sol.shards)
+                         for size, slope in curve.shards if slope <= inst.values[i][j] + 1e-9)
+            assert sol.per_buyer_revenue[i] == pytest.approx(
+                min(inst.budgets[i], desire), rel=1e-9, abs=1e-12)
