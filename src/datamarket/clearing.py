@@ -2,10 +2,13 @@
 
 An item is either a whole dataset under linear pricing or a single shard of a
 PLC curve (a shard of size ``z`` and slope ``a`` becomes an item of price
-``a*z`` that buyer ``i`` values at ``v[i][j]*z``, preserving who is
-interested in it).  Prices are *clearable* when every positively priced item
-has an interested buyer whose total desire fits her budget; clearable prices
-always admit an allocation in which every item is fully bought by someone.
+``a*z`` that buyer ``i`` values at ``v[i][j]*z``; she wants it exactly when
+she wants the shard, since interest is decided per unit of size).  Who wants
+which item, each buyer's desire and the revenue all come from the kernel in
+``revenue``, over the market's arrays.  Prices are *clearable* when every
+positively priced item has an interested buyer whose total desire fits her
+budget; clearable prices always admit an allocation in which every item is
+fully bought by someone.
 
 ``clearabilize`` lowers prices, never raising any and never losing per-buyer
 revenue, until the vector is clearable.  Each iteration fixes the
@@ -18,18 +21,28 @@ within ``(M + 1) * (n + 1)**2`` iterations for ``M`` items.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+import numpy as np
+
+from .demand import spend
 from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet
+from .revenue import desires, interested, revenue, shard_items, value_array
 
 
 @dataclass(frozen=True)
 class ItemMarket:
-    """Linear-priced items with per-buyer item values and buyer budgets."""
+    """Linear-priced items with per-buyer item values and buyer budgets.
+
+    ``sizes`` holds each item's fraction of its dataset (``None``: whole
+    datasets).  The arrays the kernel reads are built on first use.
+    """
 
     prices: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]  # n buyers x M items
     budgets: tuple[float, ...]
     item_origin: tuple[tuple[int, int], ...] | None = None  # item -> (dataset, shard)
+    sizes: tuple[float, ...] | None = None  # item -> fraction of its dataset
 
     @property
     def num_items(self) -> int:
@@ -38,6 +51,20 @@ class ItemMarket:
     @property
     def num_buyers(self) -> int:
         return len(self.budgets)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(values, budgets, sizes)`` as numpy arrays."""
+        values = np.array(self.values, dtype=float).reshape(self.num_buyers, self.num_items)
+        sizes = None if self.sizes is None else np.array(self.sizes, dtype=float)
+        return values, np.array(self.budgets, dtype=float), sizes
+
+    def scan(self, prices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The prices as an array, who wants which item at them, and desires."""
+        values, _, sizes = self.arrays
+        q = np.asarray(self.prices if prices is None else prices, dtype=float)
+        wants = interested(values, q, sizes)
+        return q, wants, desires(wants, q)
 
 
 @dataclass(frozen=True)
@@ -56,75 +83,51 @@ def market_from_prices(inst: Instance, prices) -> ItemMarket:
 
 
 def shards_to_items(inst: Instance, shards: ShardSet) -> ItemMarket:
-    """One item per shard; buyer interest (value >= price) is preserved."""
-    prices = []
-    columns = []
-    origin = []
-    for j, curve in enumerate(shards):
-        for t, (size, slope) in enumerate(curve.shards):
-            prices.append(slope * size)
-            columns.append(tuple(inst.values[i][j] * size for i in range(inst.n)))
-            origin.append((j, t))
-    values = tuple(tuple(col[i] for col in columns) for i in range(inst.n))
-    return ItemMarket(tuple(prices), values, inst.budgets, tuple(origin))
+    """One item per shard, in dataset then shard order; buyers want the same
+    shards as under the curves."""
+    values, prices, sizes = shard_items(value_array(inst), shards)
+    real = sizes > 0
+    return ItemMarket(tuple(prices[real].tolist()), tuple(map(tuple, values[:, real].tolist())),
+                      inst.budgets, tuple(map(tuple, np.argwhere(real).tolist())),
+                      tuple(sizes[real].tolist()))
 
 
 def desire(mkt: ItemMarket, i: int, prices=None) -> float:
     """Total price of the items buyer ``i`` is interested in."""
-    q = mkt.prices if prices is None else prices
-    return sum(p for w, p in zip(mkt.values[i], q) if w >= p - TOLERANCE)
+    return float(mkt.scan(prices)[2][i])
 
 
 def per_buyer_revenue(mkt: ItemMarket, prices=None) -> tuple[float, ...]:
-    return tuple(
-        min(mkt.budgets[i], desire(mkt, i, prices)) for i in range(mkt.num_buyers)
-    )
+    """``min(budget, desire)`` per buyer.  A buyer with a positive budget who
+    wants no item pays the empty sum, the integer ``0``."""
+    _, wants, desire_ = mkt.scan(prices)
+    paid = np.minimum(mkt.arrays[1], desire_).tolist()
+    return tuple(0 if not some and b > 0 else p
+                 for p, some, b in zip(paid, wants.any(axis=1).tolist(), mkt.budgets))
 
 
-def _satisfied(mkt: ItemMarket, i: int, q) -> bool:
-    return desire(mkt, i, q) <= mkt.budgets[i] + TOLERANCE
+def _violating_item(mkt: ItemMarket, q, wants, desire_) -> int | None:
+    """Lowest-index positively priced item with no satisfied interested buyer,
+    from a scan of the market at prices ``q``."""
+    satisfied = desire_ <= mkt.arrays[1] + TOLERANCE
+    violating = np.flatnonzero((q > TOLERANCE) & ~(wants & satisfied[:, None]).any(axis=0))
+    return int(violating[0]) if violating.size else None
 
 
 def is_clearable(mkt: ItemMarket, prices=None) -> bool:
     """Every positively priced item has a satisfied interested buyer."""
-    q = mkt.prices if prices is None else tuple(prices)
-    satisfied = [_satisfied(mkt, i, q) for i in range(mkt.num_buyers)]
-    for j, price in enumerate(q):
-        if price <= TOLERANCE:
-            continue
-        if not any(
-            satisfied[i] and mkt.values[i][j] >= price - TOLERANCE
-            for i in range(mkt.num_buyers)
-        ):
-            return False
-    return True
+    return _violating_item(mkt, *mkt.scan(prices)) is None
+
+
+def _potential(mkt: ItemMarket, q, wants, desire_) -> int:
+    phi1 = np.count_nonzero(q > TOLERANCE) + np.count_nonzero(~wants)
+    phi2 = np.count_nonzero(desire_ > mkt.arrays[1] + TOLERANCE)
+    return int((mkt.num_buyers + 1) * phi1 + phi2)
 
 
 def potential(mkt: ItemMarket, prices) -> int:
     """Bounded integer potential that strictly decreases per iteration."""
-    n = mkt.num_buyers
-    phi1 = 0
-    for j, p in enumerate(prices):
-        if p > TOLERANCE:
-            phi1 += 1
-        phi1 += sum(1 for i in range(n) if mkt.values[i][j] < p - TOLERANCE)
-    phi2 = sum(
-        1 for i in range(n) if desire(mkt, i, prices) > mkt.budgets[i] + TOLERANCE
-    )
-    return (n + 1) * phi1 + phi2
-
-
-def _violating_item(mkt: ItemMarket, q) -> int | None:
-    satisfied = [_satisfied(mkt, i, q) for i in range(mkt.num_buyers)]
-    for j, price in enumerate(q):
-        if price <= TOLERANCE:
-            continue
-        if not any(
-            satisfied[i] and mkt.values[i][j] >= price - TOLERANCE
-            for i in range(mkt.num_buyers)
-        ):
-            return j
-    return None
+    return _potential(mkt, *mkt.scan(prices))
 
 
 def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
@@ -133,33 +136,29 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     Returns the new prices, the iteration count, and the potential trace
     (its value before each iteration and after the last one).
     """
-    q = list(mkt.prices)
-    n = mkt.num_buyers
-    bound = (mkt.num_items + 1) * (n + 1) ** 2
+    q = np.array(mkt.prices, dtype=float)
+    budgets = mkt.arrays[1]
+    bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     potentials = []
     iterations = 0
     while True:
-        j = _violating_item(mkt, q)
+        scan = mkt.scan(q)
+        j = _violating_item(mkt, *scan)
         if j is None:
             break
-        potentials.append(potential(mkt, q))
+        potentials.append(_potential(mkt, *scan))
         if iterations >= bound:
             raise RuntimeError("clearabilize failed to terminate within its bound")
-        desires = [desire(mkt, i, q) for i in range(n)]
-        constrained_interested = [
-            i
-            for i in range(n)
-            if desires[i] > mkt.budgets[i] + TOLERANCE
-            and mkt.values[i][j] >= q[j] - TOLERANCE
-        ]
-        if constrained_interested:
-            beta = max(q[j] - desires[i] + mkt.budgets[i] for i in constrained_interested)
-            q[j] = max(0.0, beta)
+        _, wants, desire_ = scan
+        constrained_interested = wants[:, j] & (desire_ > budgets + TOLERANCE)
+        if constrained_interested.any():
+            beta = q[j] - desire_[constrained_interested] + budgets[constrained_interested]
+            q[j] = max(0.0, float(beta.max()))
         else:
             q[j] = 0.0
         iterations += 1
     potentials.append(potential(mkt, q))
-    return ClearabilizeResult(tuple(q), iterations, tuple(potentials))
+    return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
 
 
 def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
@@ -171,33 +170,20 @@ def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
     buyers spend their whole budget greedily by surplus per unit of money.
     Zero-priced items go to everyone.
     """
-    q = mkt.prices if prices is None else tuple(prices)
+    q, wants, desire_ = mkt.scan(prices)
     if not is_clearable(mkt, q):
         raise ValueError("prices are not clearable")
-    n, M = mkt.num_buyers, mkt.num_items
+    values, budgets, _ = mkt.arrays
+    payments = np.minimum(budgets, desire_).tolist()
     bundles = []
-    for i in range(n):
-        w = mkt.values[i]
-        fractions = [0.0] * M
-        interested = [j for j in range(M) if w[j] >= q[j] - TOLERANCE]
-        d = sum(q[j] for j in interested)
-        if d <= mkt.budgets[i] + TOLERANCE:
-            for j in interested:
-                fractions[j] = 1.0
-            payment = min(mkt.budgets[i], d)
-        else:
-            remaining = mkt.budgets[i]
-            free = [j for j in interested if q[j] <= TOLERANCE]
-            priced = [j for j in interested if q[j] > TOLERANCE]
-            for j in free:
-                fractions[j] = 1.0
-            priced.sort(key=lambda j: -(w[j] - q[j]) / q[j])
-            for j in priced:
-                if remaining <= 0:
-                    break
-                take = min(q[j], remaining)
-                fractions[j] = take / q[j]
-                remaining -= take
-            payment = mkt.budgets[i]
-        bundles.append(Bundle(tuple(fractions), payment))
-    return Allocation(tuple(bundles), sum(b.payment for b in bundles))
+    for i in range(mkt.num_buyers):
+        satisfied = desire_[i] <= budgets[i] + TOLERANCE
+        whole = wants[i] if satisfied else wants[i] & (q <= TOLERANCE)
+        fractions = [1.0 if w else 0.0 for w in whole.tolist()]
+        if not satisfied:  # free items whole, then the budget by surplus per unit of money
+            priced = np.flatnonzero(wants[i] & (q > TOLERANCE))
+            priced = priced[np.argsort(-(values[i, priced] - q[priced]) / q[priced], kind="stable")]
+            for j, part in zip(priced.tolist(), spend(mkt.budgets[i], q[priced].tolist())):
+                fractions[j] = part
+        bundles.append(Bundle(tuple(fractions), payments[i]))
+    return Allocation(tuple(bundles), float(revenue(budgets, desire_)))

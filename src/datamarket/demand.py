@@ -14,7 +14,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import TOLERANCE, Bundle, Instance, ShardCurve, ShardSet, ValidationError
+from .revenue import desires, interested, left_to_right, shard_items
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,21 @@ def rate_threshold(curve: ShardCurve, beta: float) -> float:
     return 1.0
 
 
+def spend(budget: float, costs) -> list[float]:
+    """Fractional-knapsack spend: the fraction bought of each item, taken in
+    the given order, each whole while the budget lasts and the last one in
+    part.  Items the budget does not reach are left off the list."""
+    fractions = []
+    remaining = budget
+    for cost in costs:
+        if remaining <= 0:
+            break
+        take = min(cost, remaining)
+        fractions.append(take / cost)
+        remaining -= take
+    return fractions
+
+
 def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     """Buyer ``i``'s optimal bundle under shard pricing.
 
@@ -84,42 +102,28 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
     budget = inst.budgets[i]
     row = inst.values[i]
-
-    total_cost = 0.0
-    items = []  # (dataset, size, slope, value)
-    for j, curve in enumerate(shards):
-        total_cost += curve.buyer_cost(row[j])
-        for size, slope in curve.shards:
-            if slope <= row[j] + TOLERANCE:
-                items.append((j, size, slope, row[j]))
-
-    fractions = [0.0] * len(shards)
+    values, prices, sizes = shard_items(row, shards)
+    wants = interested(values, prices, sizes)
+    total_cost = float(left_to_right(desires(wants, prices)))
     if budget >= total_cost:
-        for j, size, _slope, _v in items:
-            fractions[j] += size
-        return Bundle(tuple(fractions), total_cost)
+        return Bundle(tuple(left_to_right(np.where(wants, sizes, 0.0)).tolist()), total_cost)
 
-    # Budget binds: spend it greedily, best surplus-per-cost first.
-    remaining = budget
-    free, positive, zero = [], [], []
-    for item in items:
-        j, size, slope, v = item
+    # Budget binds: free shards come whole, then the budget is spent on the
+    # rest, best surplus-per-cost first.
+    fractions = [0.0] * len(shards)
+    positive, zero = [], []
+    for j, t in np.argwhere(wants).tolist():
+        size, slope = shards[j].shards[t]
         if slope <= TOLERANCE:
-            free.append(item)
-        elif v - slope > TOLERANCE:
-            positive.append(item)
+            fractions[j] += size
+        elif row[j] - slope > TOLERANCE:
+            positive.append((j, size, slope))
         else:
-            zero.append(item)
-    for j, size, _slope, _v in free:
-        fractions[j] += size
-    positive.sort(key=lambda it: -(it[3] - it[2]) / it[2])
-    for j, size, slope, _v in positive + zero:
-        if remaining <= 0:
-            break
-        cost = size * slope
-        take = min(cost, remaining)
-        fractions[j] += size * (take / cost)
-        remaining -= take
+            zero.append((j, size, slope))
+    positive.sort(key=lambda item: -(row[item[0]] - item[2]) / item[2])
+    wanted = positive + zero
+    for (j, size, _), part in zip(wanted, spend(budget, [s * a for _, s, a in wanted])):
+        fractions[j] += size * part
     return Bundle(tuple(fractions), min(budget, total_cost))
 
 

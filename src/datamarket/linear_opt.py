@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TOLERANCE, Instance, Partition, partition_prices
-from .revenue import extension_value, linear_revenue
+from .revenue import desires, extension_value, interested, linear_revenue, revenue, value_array
 
 DEFAULT_GRID_CAP = 2_000_000
 
@@ -52,6 +52,14 @@ def _partition_for_prices(inst: Instance, prices) -> Partition:
     return tuple(part)
 
 
+def _solution(inst: Instance, prices, method: str, diagnostics: dict,
+              partition: Partition | None = None) -> LinearSolution:
+    prices = tuple(prices)
+    if partition is None:
+        partition = _partition_for_prices(inst, prices)
+    return LinearSolution(prices, partition, linear_revenue(inst, prices), method, diagnostics)
+
+
 def exact_bruteforce(inst: Instance, grid_cap: int = DEFAULT_GRID_CAP) -> LinearSolution:
     """Enumerate every price vector on the per-dataset value grids.
 
@@ -60,39 +68,32 @@ def exact_bruteforce(inst: Instance, grid_cap: int = DEFAULT_GRID_CAP) -> Linear
     """
     cands = [candidate_prices(inst, j) for j in range(inst.m)]
     active = [j for j in range(inst.m) if cands[j]]
-    grid_points = 1
-    for j in active:
-        grid_points *= len(cands[j])
+    axes = [j for j in active if len(cands[j]) > 1]  # one grid axis per dataset with a choice
+    shape = [len(cands[j]) for j in axes]
+    grid_points = math.prod(shape)
     if grid_points > grid_cap:
         raise ValueError(f"price grid has {grid_points} points, exceeding cap {grid_cap}")
 
-    sizes = [len(cands[j]) for j in active]
-    strides = [1] * len(active)
-    for k in range(len(active) - 2, -1, -1):
-        strides[k] = strides[k + 1] * sizes[k + 1]
+    values = value_array(inst)
+    gains = []  # what each buyer pays for an active dataset at its candidates, on its axis
+    for j in active:
+        cj = np.asarray(cands[j])
+        gain = np.where(interested(values[:, j, None], cj), cj, 0.0)
+        gains.append(gain.reshape(inst.n, *(cj.size if k == j else 1 for k in axes)))
 
-    rev = np.zeros(grid_points)
-    flat = np.arange(grid_points)
-    for i in range(inst.n):
-        desire = np.zeros(grid_points)
-        for pos, j in enumerate(active):
-            cj = np.asarray(cands[j])
-            gain = np.where(inst.values[i][j] >= cj - TOLERANCE, cj, 0.0)
-            desire += gain[(flat // strides[pos]) % sizes[pos]]
-        rev += np.minimum(inst.budgets[i], desire)
-    best = int(np.argmax(rev))
+    def grid_desires():
+        for i in range(inst.n):
+            desire = np.zeros(shape)
+            for gain in gains:
+                desire = desire + gain[i]
+            yield desire
 
+    best = np.unravel_index(int(np.argmax(revenue(inst.budgets, grid_desires()))), shape)
+    choice = dict(zip(axes, best))
     prices = [0.0] * inst.m
-    for pos, j in enumerate(active):
-        prices[j] = cands[j][(best // strides[pos]) % sizes[pos]]
-    prices = tuple(prices)
-    return LinearSolution(
-        prices,
-        _partition_for_prices(inst, prices),
-        linear_revenue(inst, prices),
-        "exact",
-        {"grid_points": grid_points},
-    )
+    for j in active:
+        prices[j] = cands[j][choice.get(j, 0)]
+    return _solution(inst, prices, "exact", {"grid_points": grid_points})
 
 
 def _check_order(inst: Instance, order) -> list[int]:
@@ -102,32 +103,33 @@ def _check_order(inst: Instance, order) -> list[int]:
     return order
 
 
+def _greedy_prices(inst: Instance, order, choose) -> list[float]:
+    """Price the datasets one at a time in ``order``.  Every candidate value
+    of a dataset is scored by its marginal revenue, all of them in one kernel
+    call, and ``choose(marginals)`` picks the index to commit; datasets with
+    no positive candidate stay unpriced."""
+    values = value_array(inst)
+    prices = np.zeros(inst.m)
+    for j in order:
+        cands = candidate_prices(inst, j)
+        if not cands:
+            continue
+        # row 0 keeps the current prices, row 1 + c tries candidate c
+        trials = np.repeat(prices[None, :], len(cands) + 1, axis=0)
+        trials[1:, j] = cands
+        trials = trials[:, None, :]
+        rev = revenue(inst.budgets, desires(interested(values, trials), trials).T)
+        prices[j] = cands[choose(rev[1:] - rev[0])]
+    return prices.tolist()
+
+
 def greedy(inst: Instance, order=None) -> LinearSolution:
     """One-pass greedy pricing: commit, per dataset in ``order``, the
     candidate value with the largest marginal revenue (ties toward the
     smallest price; datasets with no positive candidate stay unpriced)."""
     order = _check_order(inst, range(inst.m) if order is None else order)
-    prices = [0.0] * inst.m
-    for j in order:
-        cands = candidate_prices(inst, j)
-        if not cands:
-            continue
-        base = linear_revenue(inst, prices)
-        best_price, best_marginal = None, -math.inf
-        for price in cands:
-            prices[j] = price
-            marginal = linear_revenue(inst, prices) - base
-            if marginal > best_marginal:
-                best_price, best_marginal = price, marginal
-        prices[j] = best_price
-    prices = tuple(prices)
-    return LinearSolution(
-        prices,
-        _partition_for_prices(inst, prices),
-        linear_revenue(inst, prices),
-        "greedy",
-        {"order": tuple(order)},
-    )
+    prices = _greedy_prices(inst, order, lambda marginals: int(np.argmax(marginals)))
+    return _solution(inst, prices, "greedy", {"order": tuple(order)})
 
 
 def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
@@ -135,44 +137,24 @@ def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
     marginal gain; falls back to the deterministic choice when every
     candidate's marginal is zero.  Fully determined by ``seed``."""
     rng = np.random.default_rng(seed)
-    prices = [0.0] * inst.m
-    for j in range(inst.m):
-        cands = candidate_prices(inst, j)
-        if not cands:
-            continue
-        base = linear_revenue(inst, prices)
-        marginals = []
-        for price in cands:
-            prices[j] = price
-            marginals.append(linear_revenue(inst, prices) - base)
-        weights = np.maximum(0.0, np.asarray(marginals))
+
+    def sample(marginals):
+        weights = np.maximum(0.0, marginals)
         total = float(weights.sum())
         if total > 0:
             pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
-            pick = min(pick, len(cands) - 1)
-        else:
-            pick = int(np.argmax(marginals))
-        prices[j] = cands[pick]
-    prices = tuple(prices)
-    return LinearSolution(
-        prices,
-        _partition_for_prices(inst, prices),
-        linear_revenue(inst, prices),
-        "rgreedy",
-        {"seed": seed},
-    )
+            return min(pick, len(marginals) - 1)
+        return int(np.argmax(marginals))
+
+    return _solution(inst, _greedy_prices(inst, range(inst.m), sample), "rgreedy", {"seed": seed})
 
 
 def _copy_weights(inst: Instance) -> np.ndarray:
     """W[i, l*m + j] = what copy (j, l) adds to buyer i's desire."""
-    n, m = inst.n, inst.m
-    values = np.asarray(inst.values)
-    W = np.zeros((n, n * m))
-    for copy in range(n):
-        for j in range(m):
-            priced_at = values[copy, j]
-            W[:, copy * m + j] = np.where(priced_at <= values[:, j] + TOLERANCE, priced_at, 0.0)
-    return W
+    values = value_array(inst)
+    prices = values[None, :, :]  # copy (j, l) is priced at buyer l's value
+    W = np.where(interested(values[:, None, :], prices), prices, 0.0)
+    return W.reshape(inst.n, inst.n * inst.m)
 
 
 def _sample_copy_choices(y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -206,7 +188,6 @@ def continuous_greedy(
     rng = np.random.default_rng(seed)
     n, m = inst.n, inst.m
     W = _copy_weights(inst)
-    budgets = np.asarray(inst.budgets)
     y = np.zeros((n, m))
 
     for _ in range(steps):
@@ -216,10 +197,14 @@ def continuous_greedy(
         sample_idx, dataset_idx = np.nonzero(picked)
         sel[sample_idx, choices[picked] * m + dataset_idx] = 1.0
         load = sel @ W.T  # samples x n
-        without = load[:, :, None] - W[None, :, :] * sel[:, None, :]
-        with_ = without + W[None, :, :]
-        r_with = np.minimum(budgets[None, :, None], with_).sum(axis=1)
-        r_without = np.minimum(budgets[None, :, None], without).sum(axis=1)
+
+        def without():
+            # buyer by buyer, each buyer's desire in every sample with each
+            # copy left out (samples x n*m), so no samples x n x n*m array
+            return (load[:, i, None] - W[i] * sel for i in range(n))
+
+        r_with = revenue(inst.budgets, (desire + w for desire, w in zip(without(), W)))
+        r_without = revenue(inst.budgets, without())
         marginal = (r_with - r_without).mean(axis=0)  # one value per copy
         for j in range(m):
             best_copy = int(np.argmax(marginal[np.arange(n) * m + j]))
@@ -234,14 +219,8 @@ def continuous_greedy(
         if rev > best_rev:
             best_part, best_rev = part, rev
 
-    prices = partition_prices(inst, best_part)
-    return LinearSolution(
-        prices,
-        best_part,
-        linear_revenue(inst, prices),
-        "cgreedy",
-        {"steps": steps, "samples": samples, "roundings": roundings, "seed": seed},
-    )
+    diagnostics = {"steps": steps, "samples": samples, "roundings": roundings, "seed": seed}
+    return _solution(inst, partition_prices(inst, best_part), "cgreedy", diagnostics, best_part)
 
 
 def linear_solution_to_dict(sol: LinearSolution) -> dict:

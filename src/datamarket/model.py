@@ -172,9 +172,12 @@ class ShardCurve:
         """Total price of every shard a buyer with per-unit ``value`` wants.
 
         A buyer purchases a shard exactly when its slope does not exceed her
-        per-unit value (ties included, within tolerance).
+        per-unit value (ties included, within tolerance; see
+        ``revenue.interested``).
         """
-        return sum(size * slope for size, slope in self.shards if slope <= value + TOLERANCE)
+        from .revenue import shard_desires  # revenue imports this module
+
+        return float(shard_desires([value], (self,)))
 
     def total_price(self) -> float:
         return sum(size * slope for size, slope in self.shards)

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import lp
 from .demand import optimal_demand
-from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet
-from .revenue import shard_revenue
+from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet, shardset_to_dict
+from .revenue import shard_revenue, value_array
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def build_pricing_lp(inst: Instance) -> lp.LpProblem:
 
 
 def _build(inst: Instance) -> tuple[lp.LpProblem, _Layout]:
-    values = np.array(inst.values, dtype=float).reshape(inst.n, inst.m)
+    values = value_array(inst)
     budgets = np.array(inst.budgets, dtype=float)
     layout = _layout(values, budgets)
     k = layout.payers.size
@@ -117,7 +117,7 @@ def extract_allocation(inst: Instance, shards: ShardSet) -> Allocation:
 
 def plc_solution_to_dict(sol: PlcSolution) -> dict:
     return {
-        "curves": [[{"size": s, "slope": a} for s, a in curve.shards] for curve in sol.shards],
+        **shardset_to_dict(sol.shards),
         "per_buyer_revenue": list(sol.per_buyer_revenue),
         "total_revenue": sol.total_revenue,
         "positive_shard_count": sol.positive_shard_count,

@@ -1,19 +1,21 @@
-"""Closed-form revenue evaluation.
+"""Revenue evaluation: one budget-capped kernel that every pricing reads.
 
-For a linear price vector ``p`` the market collects, from each buyer,
-``min(budget, desire)`` where the buyer's desire is the total price of every
-dataset she values at least its price.  Shard pricing generalizes this to
-piecewise-linear convex curves; partitions induce price vectors; and the
-extension value evaluates the same revenue formula over "copied" ground
-elements, where a dataset may be priced at several buyers' values at once.
-
-All threshold comparisons treat exact indifference (value equals price) as a
-purchase, within the global tolerance.
+A pricing sells *items*: whole datasets at linear prices, shards of PLC
+curves, or "copies" of a dataset priced at some buyer's value.  A buyer
+wants an item when her value covers its price (``interested``; exact
+indifference buys, within the global tolerance per unit of the item's
+size), her desire is the total price of the items she wants (``desires``),
+and the market collects ``sum_i min(b_i, desire_i)`` (``revenue``).  Both
+sums run left to right, in item order and in buyer order, so no result
+depends on the pairwise order of numpy's ``ndarray.sum``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
+
+import numpy as np
 
 from .model import TOLERANCE, Instance, Partition, ShardSet, partition_prices
 
@@ -23,21 +25,78 @@ from .model import TOLERANCE, Instance, Partition, ShardSet, partition_prices
 CopySet = Iterable[tuple[int, int]]
 
 
+def interested(values, prices, sizes=None) -> np.ndarray:
+    """Which items each buyer wants; the arguments broadcast together.
+
+    An item of size ``z`` is valued and priced at ``z`` times a per-unit
+    value and price, so its tolerance is ``z`` times the global one;
+    ``sizes=None`` means whole datasets.
+    """
+    tolerance = TOLERANCE if sizes is None else TOLERANCE * sizes
+    return values >= prices - tolerance
+
+
+def left_to_right(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, one column at a time."""
+    total = np.zeros(x.shape[:-1])
+    for column in np.rollaxis(x, -1):
+        total = total + column
+    return total
+
+
+def desires(wants: np.ndarray, prices) -> np.ndarray:
+    """Total price of the wanted items, added in item order (last axis)."""
+    return left_to_right(np.where(wants, prices, 0.0))
+
+
+def revenue(budgets, buyer_desires):
+    """The budget-capped sum ``sum_i min(b_i, desire_i)``, added in buyer order.
+
+    ``buyer_desires`` runs over buyers (an array's rows or a generator); each
+    row is one desire or the desires under several price vectors.
+    """
+    total = 0.0
+    for budget, desire in zip(budgets, buyer_desires):
+        total = total + np.minimum(budget, desire)
+    return total
+
+
+def value_array(inst: Instance) -> np.ndarray:
+    return np.array(inst.values, dtype=float).reshape(inst.n, inst.m)
+
+
+def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every shard as an item for buyers with per-unit ``values`` (``... x
+    m``): the items' values (``... x m x T``), prices (slope times size) and
+    sizes (``m x T``).  Curves with fewer shards are padded with empty ones
+    at an infinite price, which nobody wants."""
+    width = max(len(curve.shards) for curve in shards)
+    grid = np.array([curve.shards + ((0.0, 0.0),) * (width - len(curve.shards))
+                     for curve in shards])
+    sizes = grid[..., 0]
+    prices = np.where(sizes > 0, grid[..., 1] * sizes, math.inf)
+    return np.asarray(values, dtype=float)[..., None] * sizes, prices, sizes
+
+
+def shard_desires(values, shards: ShardSet) -> np.ndarray:
+    """Desires under shard pricing: each curve's wanted shards added in shard
+    order, then the curves in dataset order."""
+    items, prices, sizes = shard_items(values, shards)
+    return left_to_right(desires(interested(items, prices, sizes), prices))
+
+
 def buyer_desire(inst: Instance, i: int, prices) -> float:
     """Money buyer ``i`` needs to buy every dataset she values at its price."""
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
-    row = inst.values[i]
-    return sum(p for v, p in zip(row, prices) if v >= p - TOLERANCE)
+    prices = np.asarray(prices, dtype=float)
+    return float(desires(interested(np.array(inst.values[i]), prices), prices))
 
 
 def linear_revenue(inst: Instance, prices) -> float:
     """Total revenue of a linear price vector: sum of min(budget, desire)."""
-    return sum(min(inst.budgets[i], buyer_desire(inst, i, prices)) for i in range(inst.n))
-
-
-def per_buyer_linear_revenue(inst: Instance, prices) -> tuple[float, ...]:
-    return tuple(min(inst.budgets[i], buyer_desire(inst, i, prices)) for i in range(inst.n))
+    prices = np.asarray(prices, dtype=float)
+    return float(revenue(inst.budgets, desires(interested(value_array(inst), prices), prices)))
 
 
 def shard_revenue(inst: Instance, shards: ShardSet) -> tuple[tuple[float, ...], float]:
@@ -46,13 +105,8 @@ def shard_revenue(inst: Instance, shards: ShardSet) -> tuple[tuple[float, ...], 
     Each buyer pays for exactly the shards whose slope does not exceed her
     per-unit value for the dataset, capped at her budget.
     """
-    per_buyer = []
-    for i in range(inst.n):
-        desire = 0.0
-        for j, curve in enumerate(shards):
-            desire += curve.buyer_cost(inst.values[i][j])
-        per_buyer.append(min(inst.budgets[i], desire))
-    return tuple(per_buyer), sum(per_buyer)
+    desire = shard_desires(value_array(inst), shards)
+    return tuple(np.minimum(inst.budgets, desire).tolist()), float(revenue(inst.budgets, desire))
 
 
 def partition_revenue(inst: Instance, part: Partition) -> float:
@@ -67,8 +121,8 @@ def extension_value(inst: Instance, copies: CopySet) -> float:
     A selected copy ``(j, l)`` contributes buyer ``l``'s value for dataset
     ``j`` to the desire of every buyer ``i`` with ``values[l][j] <=
     values[i][j]`` (a buyer only pays shares priced at or below her own
-    value).  On copy sets with at most one copy per dataset this coincides
-    with ``partition_revenue``.
+    value); copies are added in ``(j, l)`` order.  On copy sets with at most
+    one copy per dataset this coincides with ``partition_revenue``.
     """
     chosen = set()
     for j, copy in copies:
@@ -77,13 +131,7 @@ def extension_value(inst: Instance, copies: CopySet) -> float:
         if not 0 <= copy < inst.n:
             raise IndexError(f"copy index {copy} out of range for n={inst.n}")
         chosen.add((j, copy))
-    total = 0.0
-    for i in range(inst.n):
-        row = inst.values[i]
-        desire = 0.0
-        for j, copy in sorted(chosen):
-            priced_at = inst.values[copy][j]
-            if priced_at <= row[j] + TOLERANCE:
-                desire += priced_at
-        total += min(inst.budgets[i], desire)
-    return total
+    datasets, owners = np.array(sorted(chosen), dtype=int).reshape(-1, 2).T
+    values = value_array(inst)
+    prices = values[owners, datasets]
+    return float(revenue(inst.budgets, desires(interested(values[:, datasets], prices), prices)))

@@ -178,3 +178,22 @@ def instance_battery(count: int, seed: int, n_max: int, m_max: int):
         budget_scale = master.choice([0.3, 1.0, 2.0])
         out.append(gen_random(n, m, seed=seed * 100_000 + k, budget_scale=budget_scale))
     return out
+
+
+def left_to_right_desire(items) -> float:
+    """Plain-Python desire: the prices of the wanted ``(value, price, size)``
+    items, added left to right.  An item is wanted when its value covers its
+    price within ``1e-9`` per unit of size."""
+    desire = 0.0
+    for value, price, size in items:
+        if value >= price - 1e-9 * size:
+            desire += price
+    return desire
+
+
+def left_to_right_revenue(budgets, desires) -> float:
+    """Plain-Python budget-capped sum, added in buyer order."""
+    total = 0.0
+    for budget, desire in zip(budgets, desires):
+        total += min(budget, desire)
+    return total

@@ -170,3 +170,14 @@ def test_clearing_allocation_every_priced_item_fully_owned():
 def test_desire_counts_only_interesting_items():
     market = ItemMarket((1.0, 2.0), ((1.5, 1.0),), (10.0,))
     assert desire(market, 0) == pytest.approx(1.0)
+
+
+def test_shard_items_decide_interest_per_unit():
+    # the buyer's per-unit value is 5e-7 below the second shard's slope: she
+    # does not want it, although 0.001 of it is valued within 1e-9 of its price
+    inst = Instance.make([10.0], [[0.9999995]])
+    shards = (ShardCurve.from_pairs([(0.999, 0.5), (0.001, 1.0)]),)
+    market = shards_to_items(inst, shards)
+    assert per_buyer_revenue(market) == pytest.approx((0.4995,), abs=1e-12)
+    assert desire(market, 0) == pytest.approx(0.4995, abs=1e-12)
+    assert potential(market, market.prices) == 2 * (2 + 1) + 0
