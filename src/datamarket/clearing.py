@@ -98,12 +98,8 @@ def desire(mkt: ItemMarket, i: int, prices=None) -> float:
 
 
 def per_buyer_revenue(mkt: ItemMarket, prices=None) -> tuple[float, ...]:
-    """``min(budget, desire)`` per buyer.  A buyer with a positive budget who
-    wants no item pays the empty sum, the integer ``0``."""
-    _, wants, desire_ = mkt.scan(prices)
-    paid = np.minimum(mkt.arrays[1], desire_).tolist()
-    return tuple(0 if not some and b > 0 else p
-                 for p, some, b in zip(paid, wants.any(axis=1).tolist(), mkt.budgets))
+    """``min(budget, desire)`` per buyer, as floats."""
+    return tuple(np.minimum(mkt.arrays[1], mkt.scan(prices)[2]).tolist())
 
 
 def _violating_item(mkt: ItemMarket, q, wants, desire_) -> int | None:

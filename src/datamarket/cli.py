@@ -17,6 +17,7 @@ from .demand import optimal_demand
 from .model import (
     FormatError,
     ValidationError,
+    _write_json,
     load_instance,
     load_prices,
     load_shardset,
@@ -63,9 +64,7 @@ def _cmd_solve_plc(args) -> int:
             "total_revenue": alloc.total_revenue,
         }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(doc, args.out)
     _emit(doc)
     return 0
 

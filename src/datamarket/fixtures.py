@@ -12,7 +12,6 @@ monotone submodular extension to overlapping selections.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 from . import lp
 from .model import INFINITY, Instance
@@ -196,14 +195,9 @@ def appendix_b_lp(include_monotonicity: bool = True) -> lp.LpProblem:
 
     # diminishing returns: marginal of e at a subset >= marginal at a superset
     for e in _GROUND:
-        rest = [g for g in _GROUND if g != e]
-        submasks = [0]
-        for r in range(1, len(rest) + 1):
-            for combo in combinations(rest, r):
-                acc = 0
-                for g in combo:
-                    acc |= g
-                submasks.append(acc)
+        # the subsets without e, smallest first, then by mask
+        submasks = sorted((mask for mask in range(16) if not mask & e),
+                          key=lambda mask: (mask.bit_count(), mask))
         for small in submasks:
             for big in submasks:
                 if small == big or (small & big) != small:

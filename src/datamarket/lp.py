@@ -14,6 +14,9 @@ is chosen by Bland's lowest-index rule instead, until the next nondegenerate
 pivot.  Bland's rule cannot cycle and every nondegenerate pivot strictly
 improves the objective, so the method terminates.  Every choice is a fixed
 function of the tableau, so the solver is deterministic for a fixed input.
+
+Every problem takes the same path, including one without rows or without
+artificial variables: phase 1 then ends at once with a residual of 0.
 """
 
 from __future__ import annotations
@@ -139,7 +142,6 @@ class _Tableau:
         self.basis = basis
         self.n_original = n
         self.n_structural = n + n_slack
-        self.n_artificial = n_art
         self.pivots = [0, 0]  # per phase; artificials leaving the basis count in phase 1
         self.phase = 0
         self.degenerate_pivots = 0
@@ -178,10 +180,11 @@ class _Tableau:
                 leaving = r
         return leaving
 
-    def _run_simplex(self, cost: np.ndarray) -> None:
+    def _run_simplex(self, cost: np.ndarray) -> bool:
         """Maximize cost.x over every column of the tableau.
 
-        Raises _Unbounded if an improving column has no positive entry.
+        Returns False, leaving the tableau where it stopped, when an
+        improving column has no positive entry (the objective is unbounded).
         """
         T = self.T
         # basic columns stay exact unit vectors, so their reduced costs stay 0
@@ -192,15 +195,15 @@ class _Tableau:
             if degenerate_run < _DEGENERATE_RUN:
                 entering = int(np.argmax(reduced))
                 if reduced[entering] <= PIVOT_TOL:
-                    return
+                    return True
             else:
                 improving = np.flatnonzero(reduced > PIVOT_TOL)
                 if not improving.size:
-                    return
+                    return True
                 entering = int(improving[0])
             leaving = self._leaving_row(entering)
             if leaving < 0:
-                raise _Unbounded()
+                return False
             step = T[leaving, -1] / T[leaving, entering]
             self._pivot(leaving, entering, reduced)
             if step <= PIVOT_TOL:
@@ -229,11 +232,12 @@ class _Tableau:
         self.T = self.T[np.ix_(keep, np.r_[: self.n_structural, -1])]
         self.basis = self.basis[keep]
 
-    def phase_two(self, objective: np.ndarray) -> None:
+    def phase_two(self, objective: np.ndarray) -> bool:
+        """Maximize the objective; False when it is unbounded."""
         self.phase = 1
         cost = np.zeros(self.n_structural)
         cost[: self.n_original] = objective
-        self._run_simplex(cost)
+        return self._run_simplex(cost)
 
     def result(self, status: str, objective: np.ndarray | None = None) -> LpSolution:
         counts = dict(phase1_pivots=self.pivots[0], phase2_pivots=self.pivots[1],
@@ -249,10 +253,6 @@ class _Tableau:
                           tuple(sorted(self.basis.tolist())), **counts)
 
 
-class _Unbounded(Exception):
-    pass
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve ``problem``; status is optimal, infeasible, or unbounded.
 
@@ -260,32 +260,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     satisfies every constraint within ``FEASIBILITY_TOL`` and has at most as
     many positive entries as the standard-form tableau has rows.
     """
-    n = problem.num_variables
-    if not problem.b.size:
-        if np.any(problem.c > PIVOT_TOL):
-            return LpSolution(UNBOUNDED, (), math.inf, ())
-        return LpSolution(OPTIMAL, (0.0,) * n, 0.0, ())
-
     tab = _Tableau(problem)
-    if tab.n_artificial:
-        if tab.phase_one() > FEASIBILITY_TOL:
-            return tab.result(INFEASIBLE)
-        tab.drop_artificials()
-    try:
-        tab.phase_two(problem.c)
-    except _Unbounded:
+    if tab.phase_one() > FEASIBILITY_TOL:
+        return tab.result(INFEASIBLE)
+    tab.drop_artificials()
+    if not tab.phase_two(problem.c):
         return tab.result(UNBOUNDED)
     return tab.result(OPTIMAL, problem.c)
 
 
 def check_feasible(problem: LpProblem) -> bool:
     """Phase-1 only: does a feasible point exist (within tolerance)?"""
-    if not problem.b.size:
-        return True
-    tab = _Tableau(problem)
-    if not tab.n_artificial:
-        return True  # all rows are <= with non-negative rhs; x = 0 is feasible
-    return tab.phase_one() <= FEASIBILITY_TOL
+    return _Tableau(problem).phase_one() <= FEASIBILITY_TOL
 
 
 def constraint_residuals(problem: LpProblem, x) -> list[float]:

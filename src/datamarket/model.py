@@ -226,65 +226,67 @@ class Allocation:
 
 
 # ---------------------------------------------------------------------------
-# File I/O.  Instances, shard sets and price vectors are stored as JSON; the
-# default float formatting round-trips exactly.
+# File I/O.  Instances, shard sets and price vectors are stored as JSON
+# objects, one line with sorted keys; the default float formatting
+# round-trips exactly.
 # ---------------------------------------------------------------------------
 
-def load_instance(path) -> Instance:
-    """Load an instance from a JSON file: {"budgets": [...], "values": [[...]]}.
+def _read_json(path, keys, shape: str, not_arrays: str | None = None) -> list:
+    """The arrays under ``keys`` of the JSON object in ``path``.
 
-    Budgets given as the string "inf" map to an infinite budget.
+    Raises FormatError with ``shape`` unless the document is an object holding
+    every key, and with ``not_arrays`` (default ``shape``) unless each of
+    their values is an array.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "budgets" not in doc or "values" not in doc:
-        raise FormatError('instance file must be an object with "budgets" and "values"')
-    raw_budgets = doc["budgets"]
-    raw_values = doc["values"]
-    if not isinstance(raw_budgets, list) or not isinstance(raw_values, list):
-        raise FormatError('"budgets" and "values" must be arrays')
-    budgets = []
-    for b in raw_budgets:
-        if b == "inf":
-            budgets.append(INFINITY)
-        else:
-            budgets.append(_require_number(b, "budget"))
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        raise FormatError(shape)
+    if not all(isinstance(doc[key], list) for key in keys):
+        raise FormatError(not_arrays or shape)
+    return [doc[key] for key in keys]
+
+
+def _write_json(doc, path) -> None:
+    """Write ``doc`` as one line of JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load_instance(path) -> Instance:
+    """Load an instance from a JSON file: {"budgets": [...], "values": [[...]]}.
+
+    Budgets given as the string "inf" map to an infinite budget.
+    """
+    raw_budgets, raw_values = _read_json(
+        path, ("budgets", "values"), 'instance file must be an object with "budgets" and "values"',
+        '"budgets" and "values" must be arrays')
+    budgets = [INFINITY if b == "inf" else _require_number(b, "budget") for b in raw_budgets]
     values = []
     for row in raw_values:
         if not isinstance(row, list):
             raise FormatError("each value row must be an array")
-        values.append(tuple(_require_number(v, "value") for v in row))
-    inst = Instance(tuple(budgets), tuple(values))
-    problems = validate_instance(inst)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return inst
+        values.append([_require_number(v, "value") for v in row])
+    return Instance.make(budgets, values)
 
 
 def save_instance(inst: Instance, path) -> None:
-    doc = {
+    _write_json({
         "budgets": ["inf" if math.isinf(b) else b for b in inst.budgets],
         "values": [list(row) for row in inst.values],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    }, path)
 
 
 def load_shardset(path) -> ShardSet:
     """Load a ShardSet from JSON: {"curves": [[{"size": s, "slope": a}, ...], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "curves" not in doc or not isinstance(doc["curves"], list):
-        raise FormatError('shard set file must be an object with a "curves" array')
+    (raw_curves,) = _read_json(
+        path, ("curves",), 'shard set file must be an object with a "curves" array')
     curves = []
-    for raw in doc["curves"]:
+    for raw in raw_curves:
         if not isinstance(raw, list):
             raise FormatError("each curve must be an array of shards")
         pairs = []
@@ -298,9 +300,7 @@ def load_shardset(path) -> ShardSet:
 
 
 def save_shardset(shards: ShardSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(shardset_to_dict(shards), fh)
-        fh.write("\n")
+    _write_json(shardset_to_dict(shards), path)
 
 
 def shardset_to_dict(shards: ShardSet) -> dict:
@@ -311,14 +311,9 @@ def shardset_to_dict(shards: ShardSet) -> dict:
 
 def load_prices(path) -> tuple[float, ...]:
     """Load a price vector from JSON: {"prices": [...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "prices" not in doc or not isinstance(doc["prices"], list):
-        raise FormatError('price file must be an object with a "prices" array')
-    prices = tuple(_require_number(p, "price") for p in doc["prices"])
+    (raw_prices,) = _read_json(
+        path, ("prices",), 'price file must be an object with a "prices" array')
+    prices = tuple(_require_number(p, "price") for p in raw_prices)
     for j, p in enumerate(prices):
         if math.isnan(p) or math.isinf(p) or p < 0:
             raise ValidationError(f"invalid price at index {j}: {p}")
@@ -326,6 +321,4 @@ def load_prices(path) -> tuple[float, ...]:
 
 
 def save_prices(prices, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"prices": list(prices)}, fh)
-        fh.write("\n")
+    _write_json({"prices": list(prices)}, path)

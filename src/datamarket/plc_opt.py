@@ -30,38 +30,24 @@ class PlcSolution:
     positive_shard_count: int
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Column map of the pricing LP: the z columns of each dataset in turn,
-    then one revenue column per paying buyer."""
-
-    slopes: tuple[np.ndarray, ...]  # distinct values per dataset, ascending
-    z_start: tuple[int, ...]        # first z column of each dataset
-    payers: np.ndarray              # buyers with a revenue column, ascending
-    num_z: int
-
-
-def _layout(values: np.ndarray, budgets: np.ndarray) -> _Layout:
-    slopes = tuple(np.array(sorted(set(column.tolist()))) for column in values.T)
-    sizes = [s.size for s in slopes]
-    z_start = tuple(int(z) for z in np.cumsum([0] + sizes[:-1]))
-    # infinite budgets never bind; zero budgets never pay
-    payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
-    return _Layout(slopes, z_start, payers, sum(sizes))
-
-
 def build_pricing_lp(inst: Instance) -> lp.LpProblem:
     """The shard-size LP whose optimum is the best separable PLC pricing."""
     return _build(inst)[0]
 
 
-def _build(inst: Instance) -> tuple[lp.LpProblem, _Layout]:
+def _build(inst: Instance) -> tuple[lp.LpProblem, tuple[np.ndarray, ...], np.ndarray]:
+    """The pricing LP, each dataset's distinct values (ascending) and the
+    paying buyers.  Its columns are the z columns of each dataset in turn,
+    one per distinct value, then one revenue column per paying buyer."""
     values = value_array(inst)
     budgets = np.array(inst.budgets, dtype=float)
-    layout = _layout(values, budgets)
-    k = layout.payers.size
-    num_vars = layout.num_z + k
-    r_cols = layout.num_z + np.arange(k)
+    distinct = tuple(np.array(sorted(set(column.tolist()))) for column in values.T)
+    # infinite budgets never bind; zero budgets never pay
+    payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
+    z_bounds = np.cumsum([0] + [slopes.size for slopes in distinct])
+    k = payers.size
+    num_vars = z_bounds[-1] + k
+    r_cols = z_bounds[-1] + np.arange(k)
     objective = np.zeros(num_vars)
     matrix = np.zeros((2 * k + inst.m, num_vars))
 
@@ -69,21 +55,21 @@ def _build(inst: Instance) -> tuple[lp.LpProblem, _Layout]:
     matrix[np.arange(k), r_cols] = 1.0          # budget rows: r_i <= b_i
     matrix[k + np.arange(k), r_cols] = 1.0      # desire rows: r_i - desire_i(z) <= 0
     unbounded = np.isinf(budgets)
-    for j, slopes in enumerate(layout.slopes):
-        cols = slice(layout.z_start[j], layout.z_start[j] + slopes.size)
+    for j, slopes in enumerate(distinct):
+        cols = slice(z_bounds[j], z_bounds[j + 1])
         # buyer i pays slope t per unit of every shard whose slope she can afford
         affordable = slopes <= values[:, j, None] + TOLERANCE
-        matrix[k:2 * k, cols] = np.where(affordable[layout.payers], -slopes, 0.0)
+        matrix[k:2 * k, cols] = np.where(affordable[payers], -slopes, 0.0)
         objective[cols] = np.where(affordable[unbounded], slopes, 0.0).sum(axis=0)
         matrix[2 * k + j, cols] = 1.0           # shard sizes sum to one
-    rhs = np.concatenate((budgets[layout.payers], np.zeros(k), np.ones(inst.m)))
+    rhs = np.concatenate((budgets[payers], np.zeros(k), np.ones(inst.m)))
     relations = np.array([lp.LESS_EQUAL] * (2 * k) + [lp.EQUAL] * inst.m)
-    return lp.LpProblem(objective, matrix, relations, rhs), layout
+    return lp.LpProblem(objective, matrix, relations, rhs), distinct, payers
 
 
 def solve_plc(inst: Instance) -> PlcSolution:
     """Solve the pricing LP and assemble the optimal shard curves."""
-    problem, layout = _build(inst)
+    problem, distinct, payers = _build(inst)
     solution = lp.solve_lp(problem)
     if solution.status != lp.OPTIMAL:
         raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
@@ -91,15 +77,17 @@ def solve_plc(inst: Instance) -> PlcSolution:
     x = np.array(solution.x)
     curves = []
     positive = 0
-    for j, slopes in enumerate(layout.slopes):
-        sizes = x[layout.z_start[j]:layout.z_start[j] + slopes.size]
+    start = 0
+    for slopes in distinct:
+        sizes = x[start:start + slopes.size]
+        start += slopes.size
         kept = sizes > TOLERANCE
         curves.append(ShardCurve.from_pairs(zip(sizes[kept].tolist(), slopes[kept].tolist())))
         positive += int(kept.sum())
     shards = tuple(curves)
 
     per_buyer, total = shard_revenue(inst, shards)
-    for i, lp_revenue in zip(layout.payers.tolist(), x[layout.num_z:].tolist()):
+    for i, lp_revenue in zip(payers.tolist(), x[start:].tolist()):
         if abs(per_buyer[i] - lp_revenue) > 1e-6:
             raise RuntimeError(
                 f"revenue mismatch for buyer {i}: curves give {per_buyer[i]}, "

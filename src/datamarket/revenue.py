@@ -70,12 +70,15 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     m``): the items' values (``... x m x T``), prices (slope times size) and
     sizes (``m x T``).  Curves with fewer shards are padded with empty ones
     at an infinite price, which nobody wants."""
+    values = np.asarray(values, dtype=float)
+    if len(shards) != values.shape[-1]:
+        raise ValueError(f"got {len(shards)} curves for {values.shape[-1]} datasets")
     width = max(len(curve.shards) for curve in shards)
     grid = np.array([curve.shards + ((0.0, 0.0),) * (width - len(curve.shards))
                      for curve in shards])
     sizes = grid[..., 0]
     prices = np.where(sizes > 0, grid[..., 1] * sizes, math.inf)
-    return np.asarray(values, dtype=float)[..., None] * sizes, prices, sizes
+    return values[..., None] * sizes, prices, sizes
 
 
 def shard_desires(values, shards: ShardSet) -> np.ndarray:
@@ -85,17 +88,24 @@ def shard_desires(values, shards: ShardSet) -> np.ndarray:
     return left_to_right(desires(interested(items, prices, sizes), prices))
 
 
+def _price_vector(inst: Instance, prices) -> np.ndarray:
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape != (inst.m,):
+        raise ValueError(f"got {prices.size} prices for {inst.m} datasets")
+    return prices
+
+
 def buyer_desire(inst: Instance, i: int, prices) -> float:
     """Money buyer ``i`` needs to buy every dataset she values at its price."""
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
-    prices = np.asarray(prices, dtype=float)
+    prices = _price_vector(inst, prices)
     return float(desires(interested(np.array(inst.values[i]), prices), prices))
 
 
 def linear_revenue(inst: Instance, prices) -> float:
     """Total revenue of a linear price vector: sum of min(budget, desire)."""
-    prices = np.asarray(prices, dtype=float)
+    prices = _price_vector(inst, prices)
     return float(revenue(inst.budgets, desires(interested(value_array(inst), prices), prices)))
 
 

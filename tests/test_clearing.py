@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from datamarket.clearing import (
     potential,
     shards_to_items,
 )
-from datamarket.fixtures import gen_ce_se, gen_random
+from datamarket.fixtures import gen_ce_se, gen_nonsub, gen_random, gen_sepgap
 from datamarket.model import Instance, ShardCurve
 from datamarket.plc_opt import solve_plc
 
@@ -181,3 +182,40 @@ def test_shard_items_decide_interest_per_unit():
     assert per_buyer_revenue(market) == pytest.approx((0.4995,), abs=1e-12)
     assert desire(market, 0) == pytest.approx(0.4995, abs=1e-12)
     assert potential(market, market.prices) == 2 * (2 + 1) + 0
+
+
+def test_per_buyer_revenue_is_floats():
+    # every buyer wants nothing: budgets 1 and 1, then infinite budgets
+    for inst in (gen_nonsub(0.001), gen_sepgap(2, 1)):
+        market = market_from_prices(inst, (5.0,) * inst.m)
+        revenues = per_buyer_revenue(market)
+        assert revenues == (0.0,) * inst.n
+        assert all(type(r) is float for r in revenues)
+
+
+def test_clearabilize_decides_shard_interest_per_unit():
+    # buyer 0's per-unit value is 5e-7 below the second shard's slope, so she
+    # does not want that shard; judged as a whole item she would
+    inst = Instance.make([0.3, 10.0], [[0.9999995], [0.4]])
+    market = shards_to_items(inst, (ShardCurve.from_pairs([(0.999, 0.5), (0.001, 1.0)]),))
+    result = clearabilize(market)
+    assert result.prices == (0.3, 0.0)
+    assert result.iterations == 2
+    assert result.potentials == (16, 12, 3)
+    _assert_postconditions(market, result)
+    whole = clearabilize(dataclasses.replace(market, sizes=None))
+    assert whole.prices == (0.29900000000000004, 0.001)
+    assert whole.iterations == 1
+
+
+def test_clearabilize_postconditions_on_sized_shard_markets():
+    rng = random.Random(223)
+    for trial in range(30):
+        inst = gen_random(rng.randint(2, 4), rng.randint(1, 3), seed=trial + 8100,
+                          budget_scale=0.4)
+        market = shards_to_items(inst, solve_plc(inst).shards)
+        # raise prices so some items start out unclearable; sizes are kept
+        bumped = dataclasses.replace(
+            market, prices=tuple(q * rng.uniform(1.0, 3.0) for q in market.prices))
+        assert bumped.sizes is not None and bumped.sizes == market.sizes
+        _assert_postconditions(bumped, clearabilize(bumped))

@@ -69,6 +69,15 @@ def test_solve_plc_writes_output_file(capsys, suboptimal_path, tmp_path):
     assert json.loads(out_path.read_text()) == json.loads(out)
 
 
+def test_solve_plc_out_file_is_the_printed_line(capsys, suboptimal_path, tmp_path):
+    out_path = tmp_path / "solution.json"
+    code, out = run(capsys, [
+        "solve-plc", "--instance", suboptimal_path, "--allocate", "--out", str(out_path),
+    ])
+    assert code == 0
+    assert out_path.read_text() == out
+
+
 def test_demand_subcommand(capsys, tmp_path):
     inst_path = tmp_path / "inst.json"
     save_instance(gen_nonsub(0.001), inst_path)

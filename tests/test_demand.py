@@ -195,3 +195,9 @@ def test_non_convex_curve_demand_via_grid_oracle():
     curve = PiecewiseCurve((0.0, 0.4, 0.6, 1.0), (0.0, 0.4, 1.1, 1.5))
     assert grid_demand_payment(curve.value, 2.0, 1.5) == pytest.approx(1.5)
     assert grid_demand_payment(curve.value, 2.0, 1.3) == pytest.approx(0.4)
+
+
+def test_optimal_demand_needs_a_curve_per_dataset():
+    inst = gen_random(3, 3, seed=1)
+    with pytest.raises(ValueError, match="got 1 curves for 3 datasets"):
+        optimal_demand(inst, 0, (ShardCurve(((1.0, 0.1),)),))

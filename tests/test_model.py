@@ -139,3 +139,50 @@ def test_load_prices_rejects_negative(tmp_path):
     path.write_text(json.dumps({"prices": [-1.0]}))
     with pytest.raises(ValidationError):
         load_prices(path)
+
+
+_INSTANCE_SHAPE = 'instance file must be an object with "budgets" and "values"'
+_SHARDSET_SHAPE = 'shard set file must be an object with a "curves" array'
+_PRICES_SHAPE = 'price file must be an object with a "prices" array'
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (load_instance, "{not json", None),
+    (load_instance, "[1, 2]", _INSTANCE_SHAPE),
+    (load_instance, '{"budgets": [1]}', _INSTANCE_SHAPE),
+    (load_instance, '{"budgets": 1, "values": [[1]]}', '"budgets" and "values" must be arrays'),
+    (load_instance, '{"budgets": [1], "values": {}}', '"budgets" and "values" must be arrays'),
+    (load_shardset, "{not json", None),
+    (load_shardset, '"curves"', _SHARDSET_SHAPE),
+    (load_shardset, '{"prices": []}', _SHARDSET_SHAPE),
+    (load_shardset, '{"curves": {}}', _SHARDSET_SHAPE),
+    (load_prices, "{not json", None),
+    (load_prices, "3.5", _PRICES_SHAPE),
+    (load_prices, '{"curves": []}', _PRICES_SHAPE),
+    (load_prices, '{"prices": 1.0}', _PRICES_SHAPE),
+])
+def test_loaders_reject_malformed_files(tmp_path, loader, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        loader(path)
+    if message is None:
+        assert str(exc.value).startswith("not valid JSON: ")
+    else:
+        assert str(exc.value) == message
+
+
+def test_saved_files_are_sorted_json_lines(tmp_path):
+    inst = Instance.make([0.5, math.inf], [[1 / 3, 2.0], [0.7, 0.0]])
+    shards = (ShardCurve.from_pairs([(0.25, 0.5), (0.75, 2.0)]), ShardCurve(((1.0, 0.0),)))
+    saved = [
+        (save_instance, inst, {"budgets": [0.5, "inf"], "values": [[1 / 3, 2.0], [0.7, 0.0]]}),
+        (save_shardset, shards, {"curves": [[{"size": 0.25, "slope": 0.5},
+                                             {"size": 0.75, "slope": 2.0}],
+                                            [{"size": 1.0, "slope": 0.0}]]}),
+        (save_prices, (0.25, 1.5), {"prices": [0.25, 1.5]}),
+    ]
+    for save, obj, doc in saved:
+        path = tmp_path / f"{save.__name__}.json"
+        save(obj, path)
+        assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"

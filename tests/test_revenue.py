@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from datamarket.clearing import shards_to_items
 from datamarket.fixtures import gen_greedy_suboptimal, gen_lingap, gen_nonsub, gen_random
 from datamarket.model import Instance, ShardCurve, partition_prices, prices_to_shardset
 from datamarket.properties import extension_gaps, partition_marginal_gaps
@@ -146,3 +147,19 @@ def test_extension_monotone_and_submodular_sampled():
 def test_partition_marginals_diminish_sampled():
     instances = [gen_random(3, 3, seed=s + 50) for s in range(10)]
     assert partition_marginal_gaps(instances, samples=1500, seed=22) <= 1e-9
+
+
+def test_price_vector_must_cover_every_dataset():
+    inst = gen_random(3, 3, seed=1)
+    for prices, count in (((5.0,), 1), ((5.0,) * 4, 4)):
+        with pytest.raises(ValueError, match=f"got {count} prices for 3 datasets"):
+            linear_revenue(inst, prices)
+        with pytest.raises(ValueError, match=f"got {count} prices for 3 datasets"):
+            buyer_desire(inst, 0, prices)
+
+
+@pytest.mark.parametrize("read", [shard_revenue, shards_to_items])
+def test_shard_set_must_cover_every_dataset(read):
+    inst = gen_random(3, 3, seed=1)
+    with pytest.raises(ValueError, match="got 1 curves for 3 datasets"):
+        read(inst, (ShardCurve(((1.0, 0.1),)),))
