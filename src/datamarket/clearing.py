@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import spend
+from .demand import take
 from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet
 from .revenue import desires, interested, revenue, shard_items, value_array
 
@@ -139,10 +139,10 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     iterations = 0
     while True:
         scan = mkt.scan(q)
+        potentials.append(_potential(mkt, *scan))
         j = _violating_item(mkt, *scan)
         if j is None:
-            break
-        potentials.append(_potential(mkt, *scan))
+            return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
         if iterations >= bound:
             raise RuntimeError("clearabilize failed to terminate within its bound")
         _, wants, desire_ = scan
@@ -153,8 +153,6 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
         else:
             q[j] = 0.0
         iterations += 1
-    potentials.append(potential(mkt, q))
-    return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
 
 
 def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
@@ -162,24 +160,20 @@ def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
 
     Satisfied buyers take every item they are interested in (non-rivalry lets
     all of them hold it at once), so each positively priced item is fully
-    owned by its lowest-index satisfied interested buyer.  Budget-constrained
-    buyers spend their whole budget greedily by surplus per unit of money.
-    Zero-priced items go to everyone.
+    owned by its lowest-index satisfied interested buyer.  A buyer is
+    satisfied when her desire fits her budget within tolerance; every other
+    buyer spends her whole budget by ``demand.take``, the spend rule
+    ``optimal_demand`` uses too.  Zero-priced items go to everyone.
     """
     q, wants, desire_ = mkt.scan(prices)
-    if not is_clearable(mkt, q):
+    if _violating_item(mkt, q, wants, desire_) is not None:
         raise ValueError("prices are not clearable")
     values, budgets, _ = mkt.arrays
     payments = np.minimum(budgets, desire_).tolist()
     bundles = []
     for i in range(mkt.num_buyers):
         satisfied = desire_[i] <= budgets[i] + TOLERANCE
-        whole = wants[i] if satisfied else wants[i] & (q <= TOLERANCE)
-        fractions = [1.0 if w else 0.0 for w in whole.tolist()]
-        if not satisfied:  # free items whole, then the budget by surplus per unit of money
-            priced = np.flatnonzero(wants[i] & (q > TOLERANCE))
-            priced = priced[np.argsort(-(values[i, priced] - q[priced]) / q[priced], kind="stable")]
-            for j, part in zip(priced.tolist(), spend(mkt.budgets[i], q[priced].tolist())):
-                fractions[j] = part
-        bundles.append(Bundle(tuple(fractions), payments[i]))
+        fractions = (np.where(wants[i], 1.0, 0.0) if satisfied
+                     else take(budgets[i], values[i], q, wants[i]))
+        bundles.append(Bundle(tuple(fractions.tolist()), payments[i]))
     return Allocation(tuple(bundles), float(revenue(budgets, desire_)))

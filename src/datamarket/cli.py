@@ -129,34 +129,31 @@ def _cmd_clear(args) -> int:
     return 0
 
 
+#: family -> (generator, {parameter: (type, default)}), parameters in argument order
+_FAMILIES = {
+    "nonsub": (fixtures.gen_nonsub, {"eps": (float, 0.001)}),
+    "cese": (fixtures.gen_ce_se, {"n": (int, 4)}),
+    "greedysub": (fixtures.gen_greedy_suboptimal, {}),
+    "greedytight": (fixtures.gen_greedy_tight, {"n": (int, 9), "eps": (float, 0.001)}),
+    "lingap": (fixtures.gen_lingap, {"n": (int, 5), "eps": (float, 0.001)}),
+    "sepgap": (fixtures.gen_sepgap, {"m": (int, 4), "k": (int, 3)}),
+    "vc": (fixtures.gen_vertex_cover, {"edges": (_parse_edges, "0-1|1-2|0-2"),
+                                       "eps": (float, 0.5)}),
+    "random": (fixtures.gen_random, {"n": (int, 3), "m": (int, 3), "seed": (int, 0),
+                                     "value_scale": (float, 1.0),
+                                     "budget_scale": (float, 1.0)}),
+}
+
+
 def _cmd_gen(args) -> int:
     params = _parse_params(args.params)
-    family = args.family
-    if family == "nonsub":
-        inst = fixtures.gen_nonsub(float(params.get("eps", 0.001)))
-    elif family == "cese":
-        inst = fixtures.gen_ce_se(int(params.get("n", 4)))
-    elif family == "greedysub":
-        inst = fixtures.gen_greedy_suboptimal()
-    elif family == "greedytight":
-        inst = fixtures.gen_greedy_tight(int(params.get("n", 9)), float(params.get("eps", 0.001)))
-    elif family == "lingap":
-        inst = fixtures.gen_lingap(int(params.get("n", 5)), float(params.get("eps", 0.001)))
-    elif family == "sepgap":
-        inst = fixtures.gen_sepgap(int(params.get("m", 4)), int(params.get("k", 3)))
-    elif family == "vc":
-        edges = _parse_edges(params.get("edges", "0-1|1-2|0-2"))
-        inst = fixtures.gen_vertex_cover(edges, float(params.get("eps", 0.5)))
-    else:  # random
-        inst = fixtures.gen_random(
-            int(params.get("n", 3)),
-            int(params.get("m", 3)),
-            int(params.get("seed", 0)),
-            float(params.get("value_scale", 1.0)),
-            float(params.get("budget_scale", 1.0)),
-        )
+    generator, spec = _FAMILIES[args.family]
+    for key in params:
+        if key not in spec:
+            raise ValueError(f"unknown parameter {key!r} for family {args.family}")
+    inst = generator(*(kind(params.get(key, default)) for key, (kind, default) in spec.items()))
     save_instance(inst, args.out)
-    _emit({"family": family, "n": inst.n, "m": inst.m, "out": args.out})
+    _emit({"family": args.family, "n": inst.n, "m": inst.m, "out": args.out})
     return 0
 
 
@@ -252,10 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clear)
 
     p = sub.add_parser("gen", help="generate a benchmark instance")
-    p.add_argument(
-        "--family", required=True,
-        choices=["nonsub", "cese", "greedysub", "greedytight", "lingap", "sepgap", "vc", "random"],
-    )
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--params", help='comma list, e.g. "n=5,eps=0.01" (vc: edges=0-1|1-2)')
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)

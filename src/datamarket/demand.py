@@ -1,11 +1,12 @@
 """Buyer-side computations under per-dataset pricing curves.
 
 ``optimal_demand`` computes a buyer's utility-maximizing bundle under shard
-pricing (a fractional-knapsack problem), ``rate_threshold`` finds the largest
-prefix of a dataset whose marginal price stays within a buyer's per-unit
-value, and ``convexify``/``piecewise_linearize`` are the two revenue-safe
-curve transforms: lower convex envelope and slope discretization onto a
-finite grid.
+pricing, spending a binding budget by ``take``, the one fractional-knapsack
+rule that ``clearing.clearing_allocation`` uses too.  ``rate_threshold``
+finds the largest prefix of a dataset whose marginal price stays within a
+buyer's per-unit value, and ``convexify``/``piecewise_linearize`` are the two
+revenue-safe curve transforms: lower convex envelope and slope
+discretization onto a finite grid.
 """
 
 from __future__ import annotations
@@ -72,18 +73,24 @@ def rate_threshold(curve: ShardCurve, beta: float) -> float:
     return 1.0
 
 
-def spend(budget: float, costs) -> list[float]:
-    """Fractional-knapsack spend: the fraction bought of each item, taken in
-    the given order, each whole while the budget lasts and the last one in
-    part.  Items the budget does not reach are left off the list."""
-    fractions = []
+def take(budget: float, values, prices, wants) -> np.ndarray:
+    """Fractional-knapsack spend over items: the fraction bought of each.
+
+    Wanted free items (price within tolerance of zero) come whole.  The
+    budget then buys the other wanted items in decreasing order of surplus
+    per unit of money, ``(value - price) / price``, ties in item order, each
+    whole while the budget lasts and the last one in part.
+    """
+    fractions = np.where(wants & (prices <= TOLERANCE), 1.0, 0.0)
+    priced = np.flatnonzero(wants & (prices > TOLERANCE))
+    order = priced[np.argsort(-(values[priced] - prices[priced]) / prices[priced], kind="stable")]
     remaining = budget
-    for cost in costs:
+    for k in order.tolist():
         if remaining <= 0:
             break
-        take = min(cost, remaining)
-        fractions.append(take / cost)
-        remaining -= take
+        paid = min(prices[k], remaining)
+        fractions[k] = paid / prices[k]
+        remaining -= paid
     return fractions
 
 
@@ -94,37 +101,22 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     utility maximizers the payment is maximal, so it always equals
     ``min(budget, total price of all wanted shards)``.  Wanted shards (slope
     at most the buyer's value) become fractional-knapsack items; if they all
-    fit in the budget the buyer takes everything, otherwise items are taken
-    in decreasing surplus-per-cost order, fractionally at the margin, with
-    zero-surplus items taken last in dataset order.
+    fit in the budget the buyer takes everything, otherwise ``take`` spends
+    the budget on them: free shards whole, then by decreasing surplus per
+    unit of money, ``(value - price) / price``, fractionally at the margin.
+    A shard whose surplus lies within the tolerance of zero is ranked by that
+    ratio like any other; only exact ties go in dataset then shard order.
     """
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
     budget = inst.budgets[i]
-    row = inst.values[i]
-    values, prices, sizes = shard_items(row, shards)
+    values, prices, sizes = shard_items(inst.values[i], shards)
     wants = interested(values, prices, sizes)
     total_cost = float(left_to_right(desires(wants, prices)))
     if budget >= total_cost:
         return Bundle(tuple(left_to_right(np.where(wants, sizes, 0.0)).tolist()), total_cost)
-
-    # Budget binds: free shards come whole, then the budget is spent on the
-    # rest, best surplus-per-cost first.
-    fractions = [0.0] * len(shards)
-    positive, zero = [], []
-    for j, t in np.argwhere(wants).tolist():
-        size, slope = shards[j].shards[t]
-        if slope <= TOLERANCE:
-            fractions[j] += size
-        elif row[j] - slope > TOLERANCE:
-            positive.append((j, size, slope))
-        else:
-            zero.append((j, size, slope))
-    positive.sort(key=lambda item: -(row[item[0]] - item[2]) / item[2])
-    wanted = positive + zero
-    for (j, size, _), part in zip(wanted, spend(budget, [s * a for _, s, a in wanted])):
-        fractions[j] += size * part
-    return Bundle(tuple(fractions), min(budget, total_cost))
+    fractions = take(budget, values.ravel(), prices.ravel(), wants.ravel())
+    return Bundle(tuple(left_to_right(fractions.reshape(sizes.shape) * sizes).tolist()), budget)
 
 
 def convexify(curve: PiecewiseCurve) -> ShardCurve:

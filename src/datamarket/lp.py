@@ -88,10 +88,6 @@ class LpProblem:
         return cls(c, A, np.array(relations, dtype=str), np.array(rhs))
 
     @property
-    def objective(self) -> tuple[float, ...]:
-        return tuple(self.c.tolist())
-
-    @property
     def constraints(self) -> tuple[tuple[np.ndarray, str, float], ...]:
         """``(coefficients, relation, rhs)`` per row; coefficients are views of ``A``."""
         return tuple(zip(self.A, self.relations.tolist(), self.b.tolist()))

@@ -56,9 +56,6 @@ class Instance:
     def m(self) -> int:
         return len(self.values[0]) if self.values else 0
 
-    def value(self, i: int, j: int) -> float:
-        return self.values[i][j]
-
     @classmethod
     def make(cls, budgets, values) -> "Instance":
         """Build and validate an Instance from plain sequences."""
@@ -179,9 +176,6 @@ class ShardCurve:
 
         return float(shard_desires([value], (self,)))
 
-    def total_price(self) -> float:
-        return sum(size * slope for size, slope in self.shards)
-
 
 #: A ShardSet is one curve per dataset.
 ShardSet = tuple[ShardCurve, ...]
@@ -191,18 +185,14 @@ ShardSet = tuple[ShardCurve, ...]
 Partition = tuple[int | None, ...]
 
 
-def validate_partition(part, n: int, m: int) -> None:
-    if len(part) != m:
-        raise ValidationError(f"partition has length {len(part)}, expected {m}")
-    for j, who in enumerate(part):
-        if who is not None and not (0 <= who < n):
-            raise ValidationError(f"partition entry {j} out of range: {who}")
-
-
 def partition_prices(inst: Instance, part: Partition) -> tuple[float, ...]:
     """Price vector induced by a partition: each dataset is priced at the
     assigned buyer's value for it, or 0 if unassigned."""
-    validate_partition(part, inst.n, inst.m)
+    if len(part) != inst.m:
+        raise ValidationError(f"partition has length {len(part)}, expected {inst.m}")
+    for j, who in enumerate(part):
+        if who is not None and not (0 <= who < inst.n):
+            raise ValidationError(f"partition entry {j} out of range: {who}")
     return tuple(0.0 if who is None else inst.values[who][j] for j, who in enumerate(part))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import lp
 from .demand import optimal_demand
 from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet, shardset_to_dict
-from .revenue import shard_revenue, value_array
+from .revenue import interested, shard_revenue, value_array
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def _build(inst: Instance) -> tuple[lp.LpProblem, tuple[np.ndarray, ...], np.nda
     for j, slopes in enumerate(distinct):
         cols = slice(z_bounds[j], z_bounds[j + 1])
         # buyer i pays slope t per unit of every shard whose slope she can afford
-        affordable = slopes <= values[:, j, None] + TOLERANCE
+        affordable = interested(values[:, j, None], slopes)
         matrix[k:2 * k, cols] = np.where(affordable[payers], -slopes, 0.0)
         objective[cols] = np.where(affordable[unbounded], slopes, 0.0).sum(axis=0)
         matrix[2 * k + j, cols] = 1.0           # shard sizes sum to one

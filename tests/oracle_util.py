@@ -197,3 +197,70 @@ def left_to_right_revenue(budgets, desires) -> float:
     for budget, desire in zip(budgets, desires):
         total += min(budget, desire)
     return total
+
+
+def spend_reference(budget, items) -> list[float]:
+    """Plain-Python fractional knapsack over ``(value, price, wanted)`` items:
+    the fraction bought of each.  Wanted items priced within ``1e-9`` of zero
+    come whole; the budget then buys the other wanted items by decreasing
+    surplus per unit of money, ties in item order, each whole while the
+    budget lasts and the last one in part."""
+    fractions = [0.0] * len(items)
+    priced = []
+    for k, (value, price, wanted) in enumerate(items):
+        if wanted and price <= 1e-9:
+            fractions[k] = 1.0
+        elif wanted:
+            priced.append(k)
+    priced.sort(key=lambda k: -(items[k][0] - items[k][1]) / items[k][1])
+    remaining = budget
+    for k in priced:
+        if remaining <= 0:
+            break
+        paid = min(items[k][1], remaining)
+        fractions[k] = paid / items[k][1]
+        remaining -= paid
+    return fractions
+
+
+def demand_reference(inst: Instance, i: int, shards) -> tuple[float, ...]:
+    """Per-dataset fractions of a budget-bound buyer under shard pricing:
+    every shard is an item valued and priced at its size times the per-unit
+    value and slope, spent on by ``spend_reference``, and each dataset's
+    bought sizes are added in shard order."""
+    items, sizes, owners = [], [], []
+    for j, curve in enumerate(shards):
+        for size, slope in curve.shards:
+            value, price = inst.values[i][j] * size, slope * size
+            items.append((value, price, value >= price - 1e-9 * size))
+            sizes.append(size)
+            owners.append(j)
+    fractions = [0.0] * inst.m
+    for j, size, part in zip(owners, sizes, spend_reference(inst.budgets[i], items)):
+        fractions[j] += size * part
+    return tuple(fractions)
+
+
+def pricing_battery(seed: int):
+    """Pinned ``(instance, shards)`` pairs: random instances with binding and
+    slack budgets, each under its optimal PLC curves, random curves with
+    slopes drawn from buyer values, and the prices of a random partition."""
+    from datamarket.model import partition_prices, prices_to_shardset
+    from datamarket.plc_opt import solve_plc
+
+    rng = random.Random(seed)
+    out = []
+    for n, m in ((8, 4), (15, 8), (30, 15)):
+        for budget_scale in (0.25, 1.0):
+            inst = gen_random(n, m, rng.randrange(10**6), budget_scale=budget_scale)
+            out.append((inst, solve_plc(inst).shards))
+            curves = []
+            for j in range(m):
+                owners = rng.sample(range(n), rng.randint(1, 3))
+                raw = [rng.uniform(0.1, 1.0) for _ in owners]
+                curves.append(ShardCurve.from_pairs(
+                    (r / sum(raw), inst.values[o][j]) for r, o in zip(raw, owners)))
+            out.append((inst, tuple(curves)))
+            part = [rng.randrange(n) for _ in range(m)]
+            out.append((inst, prices_to_shardset(partition_prices(inst, part))))
+    return out

@@ -17,6 +17,7 @@ from datamarket.clearing import (
 from datamarket.fixtures import gen_ce_se, gen_nonsub, gen_random, gen_sepgap
 from datamarket.model import Instance, ShardCurve
 from datamarket.plc_opt import solve_plc
+from oracle_util import pricing_battery, spend_reference
 
 
 def test_shards_to_items_linear_roundtrip():
@@ -166,6 +167,21 @@ def test_clearing_allocation_every_priced_item_fully_owned():
             if q > 1e-9:
                 assert any(b.fractions[j] == 1.0 for b in alloc.bundles)
         assert alloc.total_revenue == pytest.approx(sum(per_buyer_revenue(market, cleared)))
+
+
+def test_clearing_allocation_matches_spend_reference_on_constrained_buyers():
+    constrained = 0
+    for inst, shards in pricing_battery(62):
+        market = shards_to_items(inst, shards)
+        cleared = clearabilize(market).prices
+        alloc = clearing_allocation(market, cleared)
+        for i in range(inst.n):
+            if desire(market, i, cleared) > inst.budgets[i] + 1e-9:
+                items = [(value, price, value >= price - 1e-9 * size)
+                         for value, price, size in zip(market.values[i], cleared, market.sizes)]
+                assert alloc.bundles[i].fractions == tuple(spend_reference(inst.budgets[i], items))
+                constrained += 1
+    assert constrained > 100  # the battery must exercise budget-constrained buyers
 
 
 def test_desire_counts_only_interesting_items():

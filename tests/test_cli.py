@@ -135,6 +135,20 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert json.loads(out)["total_revenue"] == pytest.approx(0.45)
 
 
+@pytest.mark.parametrize("family,params,key", [
+    ("nonsub", "esp=0.5", "esp"),
+    ("random", "budget=3", "budget"),
+])
+def test_gen_rejects_unknown_parameter(capsys, tmp_path, family, params, key):
+    out_path = tmp_path / "generated.json"
+    code = main(["gen", "--family", family, "--params", params, "--out", str(out_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown parameter {key!r} for family {family}\n"
+    assert not out_path.exists()
+
+
 def test_check_appendix_b(capsys):
     code, out = run(capsys, ["check", "--property", "appendixB"])
     assert code == 0

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from datamarket.demand import (
@@ -9,11 +10,19 @@ from datamarket.demand import (
     optimal_demand,
     piecewise_linearize,
     rate_threshold,
+    take,
 )
 from datamarket.fixtures import gen_lingap, gen_random
 from datamarket.model import Instance, ShardCurve, ValidationError
 from datamarket.plc_opt import solve_plc
-from oracle_util import grid_demand_payment, random_piecewise_curve, random_shardset
+from datamarket.revenue import shard_desires
+from oracle_util import (
+    demand_reference,
+    grid_demand_payment,
+    pricing_battery,
+    random_piecewise_curve,
+    random_shardset,
+)
 
 THREE_SHARDS = ShardCurve.from_pairs([(0.3, 10.0), (0.5, 20.0), (0.2, 25.0)])
 
@@ -201,3 +210,28 @@ def test_optimal_demand_needs_a_curve_per_dataset():
     inst = gen_random(3, 3, seed=1)
     with pytest.raises(ValueError, match="got 1 curves for 3 datasets"):
         optimal_demand(inst, 0, (ShardCurve(((1.0, 0.1),)),))
+
+
+def test_optimal_demand_matches_spend_reference_on_budget_bound_buyers():
+    bound = 0
+    for inst, shards in pricing_battery(61):
+        for i in range(inst.n):
+            bundle = optimal_demand(inst, i, shards)
+            if inst.budgets[i] < shard_desires(inst.values[i], shards):
+                assert bundle.fractions == demand_reference(inst, i, shards)
+                assert bundle.payment == inst.budgets[i]
+                bound += 1
+    assert bound > 100  # the battery must exercise the budget-bound branch
+
+
+def test_spend_ranks_near_zero_surplus_by_ratio():
+    # surplus 0 and 5e-10 both lie within the tolerance; the second item has
+    # the larger surplus per unit of money, so the budget goes to it first
+    inst = Instance.make([0.5], [[1.0, 1.0]])
+    shards = (ShardCurve(((1.0, 1.0),)), ShardCurve(((1.0, 1.0 - 5e-10),)))
+    bundle = optimal_demand(inst, 0, shards)
+    assert bundle.fractions == (0.0, 0.5 / (1.0 - 5e-10))
+    assert bundle.payment == 0.5
+    fractions = take(0.5, np.array([1.0, 1.0]), np.array([1.0, 1.0 - 5e-10]),
+                     np.array([True, True]))
+    assert fractions.tolist() == [0.0, 0.5 / (1.0 - 5e-10)]

@@ -128,7 +128,7 @@ def test_matches_vertex_enumeration_oracle():
     for _ in range(120):
         problem = _random_bounded_problem(rng)
         sol = lp.solve_lp(problem)
-        oracle = lp_vertex_enumeration(problem.objective, problem.constraints)
+        oracle = lp_vertex_enumeration(problem.c, problem.constraints)
         if oracle is None:
             assert sol.status == lp.INFEASIBLE
             continue
@@ -146,6 +146,6 @@ def test_optimal_solutions_are_basic_feasible():
         if sol.status != lp.OPTIMAL:
             continue
         assert max(lp.constraint_residuals(problem, sol.x), default=0.0) <= 1e-7
-        target = sum(c * v for c, v in zip(problem.objective, sol.x))
+        target = sum(c * v for c, v in zip(problem.c, sol.x))
         assert sol.objective_value == pytest.approx(target, abs=1e-7)
         assert sum(1 for v in sol.x if v > 1e-9) <= len(problem.constraints)

@@ -30,7 +30,7 @@ def test_load_two_by_two(tmp_path):
     path = write(tmp_path, {"budgets": [1, 1], "values": [[1, 1], [0.001, 2]]})
     inst = load_instance(path)
     assert inst.n == 2 and inst.m == 2
-    assert inst.value(1, 0) == 0.001
+    assert inst.values[1][0] == 0.001
     assert inst.budgets == (1.0, 1.0)
 
 
@@ -111,7 +111,7 @@ def test_shard_curve_price_and_costs():
     curve = ShardCurve.from_pairs([(0.3, 10.0), (0.5, 20.0), (0.2, 25.0)])
     assert curve.price(0.3) == pytest.approx(3.0)
     assert curve.price(0.6) == pytest.approx(3.0 + 20 * 0.3)
-    assert curve.price(1.0) == pytest.approx(curve.total_price())
+    assert curve.price(1.0) == pytest.approx(3.0 + 10.0 + 5.0)
     assert curve.buyer_cost(20.0) == pytest.approx(13.0)
     assert curve.buyer_cost(5.0) == 0.0
 

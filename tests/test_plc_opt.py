@@ -24,7 +24,7 @@ def test_lp_structure_single_rich_buyer():
     problem = build_pricing_lp(Instance.make([math.inf], [[3.0]]))
     assert problem.num_variables == 1
     assert relation_counts(problem) == {lp.LESS_EQUAL: 0, lp.EQUAL: 1, lp.GREATER_EQUAL: 0}
-    assert problem.objective == (3.0,)
+    assert problem.c.tolist() == [3.0]
 
 
 def test_lp_structure_example3():
