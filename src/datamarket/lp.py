@@ -17,6 +17,13 @@ function of the tableau, so the solver is deterministic for a fixed input.
 
 Every problem takes the same path, including one without rows or without
 artificial variables: phase 1 then ends at once with a residual of 0.
+
+An optimal solution carries the row duals too.  They are read off the final
+tableau: the columns of the starting identity basis (each row's slack or
+artificial) hold the basis inverse, so ``y = c_B B^-1`` is one
+vector-matrix product and needs no factorisation.  That is why the
+artificial columns stay in the tableau through phase 2, barred from
+entering.
 """
 
 from __future__ import annotations
@@ -106,6 +113,9 @@ class LpSolution:
     phase1_pivots: int = 0  # includes pivots that move artificials out of the basis
     phase2_pivots: int = 0
     degenerate_pivots: int = 0  # simplex pivots whose step was at most PIVOT_TOL
+    # one per constraint row on an optimal status: >= 0 on "<=" rows, <= 0 on
+    # ">=" rows, free on "=" rows; b . duals equals the objective value
+    duals: tuple[float, ...] = ()
 
 
 class _Tableau:
@@ -136,6 +146,8 @@ class _Tableau:
 
         self.T = T
         self.basis = basis
+        self.identity = basis.copy()  # row r's column of the starting identity basis
+        self.sign = sign
         self.n_original = n
         self.n_structural = n + n_slack
         self.pivots = [0, 0]  # per phase; artificials leaving the basis count in phase 1
@@ -152,7 +164,7 @@ class _Tableau:
             if r != row:
                 T[r] -= factors[r] * pivot_row
         if reduced is not None:
-            reduced -= reduced[col] * pivot_row[:-1]
+            reduced -= reduced[col] * pivot_row[:reduced.size]
         self.basis[row] = col
         self.pivots[self.phase] += 1
 
@@ -177,14 +189,15 @@ class _Tableau:
         return leaving
 
     def _run_simplex(self, cost: np.ndarray) -> bool:
-        """Maximize cost.x over every column of the tableau.
+        """Maximize cost.x over the tableau's first ``cost.size`` columns,
+        which are the only ones that may enter.
 
         Returns False, leaving the tableau where it stopped, when an
         improving column has no positive entry (the objective is unbounded).
         """
         T = self.T
         # basic columns stay exact unit vectors, so their reduced costs stay 0
-        reduced = cost - cost[self.basis] @ T[:, :-1]
+        reduced = cost - cost[self.basis] @ T[:, :cost.size]
         reduced[self.basis] = 0.0
         degenerate_run = 0
         while True:
@@ -216,8 +229,8 @@ class _Tableau:
         return float(self.T[self.basis >= self.n_structural, -1].sum())
 
     def drop_artificials(self) -> None:
-        """Pivot basic artificials out (or drop redundant rows), then remove
-        the artificial columns from the tableau."""
+        """Pivot basic artificials out, or drop their rows when redundant.
+        The artificial columns stay for the duals; phase 2 never enters them."""
         keep = np.ones(self.T.shape[0], dtype=bool)
         for r in np.flatnonzero(self.basis >= self.n_structural).tolist():
             candidates = np.flatnonzero(np.abs(self.T[r, : self.n_structural]) > PIVOT_TOL)
@@ -225,17 +238,18 @@ class _Tableau:
                 self._pivot(r, int(candidates[0]))
             else:
                 keep[r] = False  # redundant: all zeros over the real columns
-        self.T = self.T[np.ix_(keep, np.r_[: self.n_structural, -1])]
-        self.basis = self.basis[keep]
+        if not keep.all():
+            self.T = self.T[keep]
+            self.basis = self.basis[keep]
 
     def phase_two(self, objective: np.ndarray) -> bool:
         """Maximize the objective; False when it is unbounded."""
         self.phase = 1
-        cost = np.zeros(self.n_structural)
-        cost[: self.n_original] = objective
-        return self._run_simplex(cost)
+        self.cost = np.zeros(self.n_structural)
+        self.cost[: self.n_original] = objective
+        return self._run_simplex(self.cost)
 
-    def result(self, status: str, objective: np.ndarray | None = None) -> LpSolution:
+    def result(self, status: str) -> LpSolution:
         counts = dict(phase1_pivots=self.pivots[0], phase2_pivots=self.pivots[1],
                       degenerate_pivots=self.degenerate_pivots)
         if status == INFEASIBLE:
@@ -245,8 +259,12 @@ class _Tableau:
         x = np.zeros(self.n_structural)
         x[self.basis] = self.T[:, -1]
         primal = x[: self.n_original]
-        return LpSolution(OPTIMAL, tuple(primal.tolist()), float(objective @ primal),
-                          tuple(sorted(self.basis.tolist())), **counts)
+        # y = c_B B^-1; a dropped redundant row has dual 0, absent from the sum
+        duals = self.cost[self.basis] @ self.T[:, self.identity] * self.sign
+        return LpSolution(OPTIMAL, tuple(primal.tolist()),
+                          float(self.cost[: self.n_original] @ primal),
+                          tuple(sorted(self.basis.tolist())), **counts,
+                          duals=tuple(duals.tolist()))
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -262,7 +280,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     tab.drop_artificials()
     if not tab.phase_two(problem.c):
         return tab.result(UNBOUNDED)
-    return tab.result(OPTIMAL, problem.c)
+    return tab.result(OPTIMAL)
 
 
 def check_feasible(problem: LpProblem) -> bool:

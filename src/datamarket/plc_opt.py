@@ -8,11 +8,25 @@ buyers with infinite budgets contribute their desire directly to the
 objective, which keeps the program bounded.  A basic feasible optimum has at
 most ``m + n`` positive shard sizes, so the resulting curves are almost
 linear.
+
+``solve_plc`` never builds that full program.  It works in money divided by
+one scale, the largest finite budget or value, and solves it by column
+generation: a restricted master starts with every revenue column and one
+shard-size (z) column per dataset, at its median distinct value.  The
+master's row duals price every other z column at once: with ``y_i`` the
+dual of paying buyer ``i``'s desire row and ``mu_j`` that of dataset ``j``'s
+sum row, the column of slope ``t`` has reduced cost ``t * (sum of y_i over
+the payers who want t + the number of infinite-budget buyers who want t) -
+mu_j``.  Who wants ``t`` is a suffix of the buyers sorted by value, so each
+round is one cumulative sum per dataset.  Each round adds the two best
+columns of every dataset whose reduced cost exceeds ``lp.PIVOT_TOL``; when
+none does, the master's optimum is the full program's.  Slopes come back as
+the buyers' own values, by index, never multiplied by the scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +35,9 @@ from .demand import optimal_demand
 from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet, shardset_to_dict
 from .revenue import interested, shard_revenue, value_array
 
+# Columns each round adds per dataset, at most.
+_ENTERING = 2
+
 
 @dataclass(frozen=True)
 class PlcSolution:
@@ -28,72 +45,162 @@ class PlcSolution:
     per_buyer_revenue: tuple[float, ...]
     total_revenue: float
     positive_shard_count: int
+    # master rounds, final and full z-column counts, pivots summed over masters
+    diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class _Market:
+    """The pricing LP's data in money divided by ``scale``.  Its z columns,
+    indexed ``0 .. slopes.size - 1``, are each dataset's distinct values
+    (ascending), dataset by dataset."""
+
+    values: np.ndarray      # n x m, divided by scale
+    budgets: np.ndarray     # divided by scale
+    payers: np.ndarray      # finite, positive budgets
+    distinct: np.ndarray    # each column's slope in money, as in the instance
+    slopes: np.ndarray      # the same, divided by scale
+    dataset: np.ndarray     # each column's dataset
+    starts: np.ndarray      # each dataset's first column, then the column count
+
+    @classmethod
+    def of(cls, inst: Instance, scale: float) -> "_Market":
+        values = value_array(inst)
+        budgets = np.array(inst.budgets, dtype=float)
+        per_dataset = [np.unique(column) for column in values.T]
+        counts = [d.size for d in per_dataset]
+        distinct = np.concatenate(per_dataset)
+        # infinite budgets never bind; zero budgets never pay
+        payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
+        return cls(values / scale, budgets / scale, payers, distinct, distinct / scale,
+                   np.repeat(np.arange(inst.m), counts), np.cumsum([0] + counts))
+
+
+def _money_scale(inst: Instance) -> float:
+    money = np.concatenate((np.ravel(inst.values), inst.budgets))
+    return float(money[np.isfinite(money)].max()) or 1.0
 
 
 def build_pricing_lp(inst: Instance) -> lp.LpProblem:
-    """The shard-size LP whose optimum is the best separable PLC pricing."""
-    return _build(inst)[0]
+    """The shard-size LP whose optimum is the best separable PLC pricing,
+    over every (dataset, distinct value) column, in the instance's money."""
+    market = _Market.of(inst, 1.0)
+    return _build(market, np.arange(market.slopes.size))
 
 
-def _build(inst: Instance) -> tuple[lp.LpProblem, tuple[np.ndarray, ...], np.ndarray]:
-    """The pricing LP, each dataset's distinct values (ascending) and the
-    paying buyers.  Its columns are the z columns of each dataset in turn,
-    one per distinct value, then one revenue column per paying buyer."""
-    values = value_array(inst)
-    budgets = np.array(inst.budgets, dtype=float)
-    distinct = tuple(np.array(sorted(set(column.tolist()))) for column in values.T)
-    # infinite budgets never bind; zero budgets never pay
-    payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
-    z_bounds = np.cumsum([0] + [slopes.size for slopes in distinct])
+def _build(market: _Market, columns: np.ndarray) -> lp.LpProblem:
+    """The pricing LP over the given z columns (ascending indices), then one
+    revenue column per paying buyer.  Rows: a budget row per payer, a desire
+    row per payer, a shard-sizes-sum-to-one row per dataset."""
+    values, budgets, payers = market.values, market.budgets, market.payers
+    datasets = market.dataset[columns]
+    slopes = market.slopes[columns]
     k = payers.size
-    num_vars = z_bounds[-1] + k
-    r_cols = z_bounds[-1] + np.arange(k)
-    objective = np.zeros(num_vars)
-    matrix = np.zeros((2 * k + inst.m, num_vars))
+    z = columns.size
+    r_cols = z + np.arange(k)
+    objective = np.zeros(z + k)
+    matrix = np.zeros((2 * k + market.starts.size - 1, z + k))
 
     objective[r_cols] = 1.0
     matrix[np.arange(k), r_cols] = 1.0          # budget rows: r_i <= b_i
     matrix[k + np.arange(k), r_cols] = 1.0      # desire rows: r_i - desire_i(z) <= 0
-    unbounded = np.isinf(budgets)
-    for j, slopes in enumerate(distinct):
-        cols = slice(z_bounds[j], z_bounds[j + 1])
-        # buyer i pays slope t per unit of every shard whose slope she can afford
-        affordable = interested(values[:, j, None], slopes)
-        matrix[k:2 * k, cols] = np.where(affordable[payers], -slopes, 0.0)
-        objective[cols] = np.where(affordable[unbounded], slopes, 0.0).sum(axis=0)
-        matrix[2 * k + j, cols] = 1.0           # shard sizes sum to one
-    rhs = np.concatenate((budgets[payers], np.zeros(k), np.ones(inst.m)))
-    relations = np.array([lp.LESS_EQUAL] * (2 * k) + [lp.EQUAL] * inst.m)
-    return lp.LpProblem(objective, matrix, relations, rhs), distinct, payers
+    # buyer i pays slope t per unit of every shard whose slope she can afford
+    affordable = interested(values[:, datasets], slopes)
+    matrix[k:2 * k, :z] = np.where(affordable[payers], -slopes, 0.0)
+    # infinite budgets never bind, so those buyers pay their desire outright
+    objective[:z] = np.where(affordable[np.isinf(budgets)], slopes, 0.0).sum(axis=0)
+    matrix[2 * k + datasets, np.arange(z)] = 1.0  # shard sizes sum to one
+    rhs = np.concatenate((budgets[payers], np.zeros(k), np.ones(market.starts.size - 1)))
+    relations = np.array([lp.LESS_EQUAL] * (2 * k) + [lp.EQUAL] * (market.starts.size - 1))
+    return lp.LpProblem(objective, matrix, relations, rhs)
+
+
+class _Pricer:
+    """Reduced costs of every z column from a master's duals.
+
+    Buyer ``i`` wants the column of slope ``t`` when ``interested(v_ij, t)``,
+    which holds for a suffix of the buyers sorted by their value of dataset
+    ``j``: the top ``wanting`` of them.  So a column's weight of wanting
+    buyers is one entry of that dataset's reversed cumulative sum.
+    """
+
+    def __init__(self, market: _Market):
+        values = market.values
+        n = values.shape[0]
+        self.order = np.argsort(values, axis=0, kind="stable")
+        wanting = np.concatenate([
+            interested(values[:, j, None], market.slopes[start:stop]).sum(axis=0)
+            for j, (start, stop) in enumerate(zip(market.starts, market.starts[1:]))])
+        self.first = n - wanting                    # sorted position of the first who wants it
+        self.market = market
+        self.unbounded = np.isinf(market.budgets).astype(float)
+
+    def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
+        market = self.market
+        k = market.payers.size
+        weights = self.unbounded.copy()
+        weights[market.payers] = duals[k:2 * k]
+        # suffix[p, j]: weight of the buyers from sorted position p on
+        suffix = np.zeros((weights.size + 1, self.order.shape[1]))
+        suffix[:-1] = np.cumsum(weights[self.order][::-1], axis=0)[::-1]
+        mu = duals[2 * k:]
+        return market.slopes * suffix[self.first, market.dataset] - mu[market.dataset]
+
+
+def _entering(market: _Market, reduced: np.ndarray, in_master: np.ndarray) -> np.ndarray:
+    """The best ``_ENTERING`` columns of each dataset outside the master whose
+    reduced cost exceeds the pivot tolerance; ties go to the lower index."""
+    candidates = np.flatnonzero((reduced > lp.PIVOT_TOL) & ~in_master)
+    datasets = market.dataset[candidates]
+    ranked = candidates[np.lexsort((-reduced[candidates], datasets))]
+    group = market.dataset[ranked]
+    rank = np.arange(ranked.size) - np.searchsorted(group, group)
+    return ranked[rank < _ENTERING]
 
 
 def solve_plc(inst: Instance) -> PlcSolution:
-    """Solve the pricing LP and assemble the optimal shard curves."""
-    problem, distinct, payers = _build(inst)
-    solution = lp.solve_lp(problem)
-    if solution.status != lp.OPTIMAL:
-        raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
+    """Solve the pricing LP by column generation and assemble the optimal
+    shard curves."""
+    scale = _money_scale(inst)
+    market = _Market.of(inst, scale)
+    pricer = _Pricer(market)
+    in_master = np.zeros(market.slopes.size, dtype=bool)
+    in_master[(market.starts[:-1] + market.starts[1:] - 1) // 2] = True  # the medians
+    rounds, pivots = 0, np.zeros(3, dtype=int)
+    while True:
+        columns = np.flatnonzero(in_master)
+        solution = lp.solve_lp(_build(market, columns))
+        if solution.status != lp.OPTIMAL:
+            raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
+        rounds += 1
+        pivots += (solution.phase1_pivots, solution.phase2_pivots, solution.degenerate_pivots)
+        entering = _entering(market, pricer.reduced_costs(np.array(solution.duals)), in_master)
+        if not entering.size:
+            break
+        in_master[entering] = True
 
     x = np.array(solution.x)
+    sizes, revenues = x[:columns.size], x[columns.size:]
     curves = []
-    positive = 0
-    start = 0
-    for slopes in distinct:
-        sizes = x[start:start + slopes.size]
-        start += slopes.size
-        kept = sizes > TOLERANCE
-        curves.append(ShardCurve.from_pairs(zip(sizes[kept].tolist(), slopes[kept].tolist())))
-        positive += int(kept.sum())
+    for j in range(inst.m):
+        kept = (market.dataset[columns] == j) & (sizes > TOLERANCE)
+        curves.append(ShardCurve.from_pairs(
+            zip(sizes[kept].tolist(), market.distinct[columns[kept]].tolist())))
     shards = tuple(curves)
 
     per_buyer, total = shard_revenue(inst, shards)
-    for i, lp_revenue in zip(payers.tolist(), x[start:].tolist()):
-        if abs(per_buyer[i] - lp_revenue) > 1e-6:
+    for i, lp_revenue in zip(market.payers.tolist(), revenues.tolist()):
+        if abs(per_buyer[i] / scale - lp_revenue) > 1e-6:
             raise RuntimeError(
                 f"revenue mismatch for buyer {i}: curves give {per_buyer[i]}, "
-                f"LP gives {lp_revenue}"
+                f"LP gives {lp_revenue * scale}"
             )
-    return PlcSolution(shards, per_buyer, total, positive)
+    diagnostics = {"rounds": rounds, "z_columns": int(columns.size),
+                   "z_columns_full": int(market.slopes.size),
+                   "phase1_pivots": int(pivots[0]), "phase2_pivots": int(pivots[1]),
+                   "degenerate_pivots": int(pivots[2])}
+    positive = int((sizes > TOLERANCE).sum())
+    return PlcSolution(shards, per_buyer, total, positive, diagnostics)
 
 
 def extract_allocation(inst: Instance, shards: ShardSet) -> Allocation:

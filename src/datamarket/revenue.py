@@ -13,6 +13,7 @@ depends on the pairwise order of numpy's ``ndarray.sum``.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -73,12 +74,21 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     values = np.asarray(values, dtype=float)
     if len(shards) != values.shape[-1]:
         raise ValueError(f"got {len(shards)} curves for {values.shape[-1]} datasets")
+    prices, sizes = _shard_grid(tuple(shards))
+    return values[..., None] * sizes, prices, sizes
+
+
+@lru_cache(maxsize=8)
+def _shard_grid(shards: ShardSet) -> tuple[np.ndarray, np.ndarray]:
+    """The shards' prices and sizes (``m x T``), read-only, built once per
+    ShardSet: every buyer's bundle under one pricing reads the same arrays."""
     width = max(len(curve.shards) for curve in shards)
     grid = np.array([curve.shards + ((0.0, 0.0),) * (width - len(curve.shards))
                      for curve in shards])
     sizes = grid[..., 0]
     prices = np.where(sizes > 0, grid[..., 1] * sizes, math.inf)
-    return values[..., None] * sizes, prices, sizes
+    sizes.flags.writeable = prices.flags.writeable = False
+    return prices, sizes
 
 
 def shard_desires(values, shards: ShardSet) -> np.ndarray:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from datamarket import lp
@@ -149,3 +150,51 @@ def test_optimal_solutions_are_basic_feasible():
         target = sum(c * v for c, v in zip(problem.c, sol.x))
         assert sol.objective_value == pytest.approx(target, abs=1e-7)
         assert sum(1 for v in sol.x if v > 1e-9) <= len(problem.constraints)
+
+
+def _random_problem_with_equalities(rng):
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(rng.uniform(-1, 2) for _ in range(n))
+        rows.append((coeffs, rng.choice(["<=", ">=", "="]), rng.uniform(-1, 2)))
+    for k in range(n):  # keep the region bounded
+        bound = tuple(1.0 if i == k else 0.0 for i in range(n))
+        rows.append((bound, "<=", rng.uniform(0.5, 3.0)))
+    return make(tuple(rng.uniform(-1, 2) for _ in range(n)), rows)
+
+
+def test_duals_satisfy_strong_duality_and_dual_feasibility():
+    rng = random.Random(7)
+    solved = 0
+    for _ in range(200):
+        problem = _random_problem_with_equalities(rng)
+        sol = lp.solve_lp(problem)
+        if sol.status != lp.OPTIMAL:
+            continue
+        solved += 1
+        y = np.array(sol.duals)
+        assert y.shape == problem.b.shape
+        assert problem.b @ y == pytest.approx(problem.c @ np.array(sol.x), abs=1e-9)
+        assert np.all(problem.c - y @ problem.A <= 1e-9)  # no column prices in
+        rel = problem.relations
+        assert np.all(y[rel == "<="] >= -1e-12)
+        assert np.all(y[rel == ">="] <= 1e-12)
+    assert solved > 50
+
+
+def test_duals_match_highs_marginals_on_a_nondegenerate_lp():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    # optimum x = (3.2, 0.3, 0.5) with four positive basics: nondegenerate
+    problem = make([3.0, 2.0, 1.0], [((1.0, 1.0, 1.0), "<=", 4.0),
+                                     ((1.0, 3.0, 0.0), "<=", 6.0),
+                                     ((1.0, 0.0, 0.0), "<=", 3.2),
+                                     ((0.0, 0.0, 1.0), "=", 0.5)])
+    sol = lp.solve_lp(problem)
+    assert sol.x == pytest.approx((3.2, 0.3, 0.5))
+    res = linprog(-problem.c, A_ub=problem.A[:3], b_ub=problem.b[:3],
+                  A_eq=problem.A[3:], b_eq=problem.b[3:], method="highs")
+    # HiGHS minimizes -c.x, so its marginals are the negated duals
+    want = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
+    assert sol.duals == pytest.approx(want.tolist(), abs=1e-12)
+    assert sol.duals == pytest.approx([2.0, 0.0, 1.0, -1.0], abs=1e-12)

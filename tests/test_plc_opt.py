@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from datamarket import lp
+from datamarket import lp, plc_opt
 from datamarket.fixtures import gen_lingap, gen_nonsub, gen_random, gen_sepgap
 from datamarket.linear_opt import exact_bruteforce
 from datamarket.model import Instance, prices_to_shardset
-from datamarket.plc_opt import build_pricing_lp, extract_allocation, solve_plc
+from datamarket.plc_opt import (build_pricing_lp, extract_allocation, plc_solution_to_dict,
+                                solve_plc)
 from datamarket.revenue import shard_revenue
 from oracle_util import highs_plc_revenue, instance_battery
 
@@ -140,3 +142,44 @@ def test_solve_plc_matches_highs(n, m, budget_scale):
                          for size, slope in curve.shards if slope <= inst.values[i][j] + 1e-9)
             assert sol.per_buyer_revenue[i] == pytest.approx(
                 min(inst.budgets[i], desire), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, m, budget_scale", [(120, 60, 1.0), (60, 30, 16.0)])
+def test_column_generation_matches_highs_on_large_instances(n, m, budget_scale):
+    inst = gen_random(n, m, seed=0, budget_scale=budget_scale)
+    sol = solve_plc(inst)
+    assert sol.total_revenue == pytest.approx(highs_plc_revenue(inst), rel=1e-7)
+    assert sol.positive_shard_count <= inst.m + inst.n
+    assert solve_plc(inst) == sol  # curves, revenues and diagnostics alike
+    stats = sol.diagnostics
+    assert stats["z_columns"] < stats["z_columns_full"] == sum(
+        len({row[j] for row in inst.values}) for j in range(m))
+    if budget_scale > 1:
+        assert stats["rounds"] > 1  # slack budgets need columns beyond the medians
+
+
+def test_diagnostics_stay_out_of_the_output():
+    inst = gen_random(10, 5, seed=2, budget_scale=4.0)
+    sol = solve_plc(inst)
+    assert set(sol.diagnostics) == {"rounds", "z_columns", "z_columns_full",
+                                    "phase1_pivots", "phase2_pivots", "degenerate_pivots"}
+    # every master drives one artificial out per shard-size row
+    assert sol.diagnostics["phase1_pivots"] == sol.diagnostics["rounds"] * inst.m
+    assert "diagnostics" not in plc_solution_to_dict(sol)
+
+
+def test_pricing_equals_full_lp_reduced_costs():
+    """The sorted cumulative sums price every column as ``c - yA`` does on
+    the full LP, at the duals of a master."""
+    for budget_scale in (0.25, 4.0, 16.0):
+        inst = gen_random(20, 10, seed=5, budget_scale=budget_scale)
+        inst = Instance.make([math.inf] + list(inst.budgets[1:]), inst.values)
+        market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
+        medians = (market.starts[:-1] + market.starts[1:] - 1) // 2
+        master = lp.solve_lp(plc_opt._build(market, medians))
+        duals = np.array(master.duals)
+        full = plc_opt._build(market, np.arange(market.slopes.size))
+        want = (full.c - duals @ full.A)[:market.slopes.size]
+        got = plc_opt._Pricer(market).reduced_costs(duals)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert (want > lp.PIVOT_TOL).any()  # the medians alone are not optimal

@@ -12,6 +12,7 @@ from datamarket.revenue import (
     extension_value,
     linear_revenue,
     partition_revenue,
+    shard_items,
     shard_revenue,
 )
 
@@ -163,3 +164,12 @@ def test_shard_set_must_cover_every_dataset(read):
     inst = gen_random(3, 3, seed=1)
     with pytest.raises(ValueError, match="got 1 curves for 3 datasets"):
         read(inst, (ShardCurve(((1.0, 0.1),)),))
+
+
+def test_shard_arrays_are_built_once_per_shardset():
+    shards = (ShardCurve.from_pairs([(0.25, 0.5), (0.75, 2.0)]), ShardCurve(((1.0, 1.0),)))
+    _, prices, sizes = shard_items([1.0, 2.0], shards)
+    _, again, _ = shard_items([[0.5, 0.5], [3.0, 1.0]], list(shards))  # an equal ShardSet
+    assert again is prices  # every buyer under one pricing shares the arrays
+    assert prices.tolist() == [[0.125, 1.5], [1.0, math.inf]]
+    assert not prices.flags.writeable and not sizes.flags.writeable
