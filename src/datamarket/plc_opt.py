@@ -10,18 +10,20 @@ most ``m + n`` positive shard sizes, so the resulting curves are almost
 linear.
 
 ``solve_plc`` never builds that full program.  It works in money divided by
-one scale, the largest finite budget or value, and solves it by column
-generation: a restricted master starts with every revenue column and one
-shard-size (z) column per dataset, at its median distinct value.  The
-master's row duals price every other z column at once: with ``y_i`` the
-dual of paying buyer ``i``'s desire row and ``mu_j`` that of dataset ``j``'s
-sum row, the column of slope ``t`` has reduced cost ``t * (sum of y_i over
-the payers who want t + the number of infinite-budget buyers who want t) -
-mu_j``.  Who wants ``t`` is a suffix of the buyers sorted by value, so each
-round is one cumulative sum per dataset.  Each round adds the two best
-columns of every dataset whose reduced cost exceeds ``lp.PIVOT_TOL``; when
-none does, the master's optimum is the full program's.  Slopes come back as
-the buyers' own values, by index, never multiplied by the scale.
+one scale, the largest value or budget (each budget counted up to its
+buyer's total value), and solves it by column generation: a restricted
+master starts with every revenue column and one shard-size (z) column per
+dataset, at its median distinct value.  The master's row duals price every
+other z column at once: with ``y_i`` the dual of paying buyer ``i``'s desire
+row and ``mu_j`` that of dataset ``j``'s sum row, the column of slope ``t``
+has reduced cost ``t * (sum of y_i over the payers who want t + the number
+of infinite-budget buyers who want t) - mu_j``, one product of the duals
+with a buyers-by-columns mask of who wants what.  That mask is decided once,
+in the instance's own money, so the LP and ``shard_revenue`` agree on every
+buyer.  Each round adds the two best columns of every dataset whose reduced
+cost exceeds ``lp.PIVOT_TOL``; when none does, the master's optimum is the
+full program's.  Slopes come back as the buyers' own values, by index, never
+multiplied by the scale.
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ class PlcSolution:
 
 @dataclass(frozen=True, eq=False)
 class _Market:
-    """The pricing LP's data in money divided by ``scale``.  Its z columns,
+    """The pricing LP's data, money divided by ``scale``.  Its z columns,
     indexed ``0 .. slopes.size - 1``, are each dataset's distinct values
-    (ascending), dataset by dataset."""
+    (ascending), dataset by dataset.  Who wants a column is decided once, in
+    the instance's own money, as ``shard_revenue`` decides it, and both the
+    LP and the pricing read that one mask."""
 
-    values: np.ndarray      # n x m, divided by scale
+    wants: np.ndarray       # n x columns: buyer i wants column c
     budgets: np.ndarray     # divided by scale
     payers: np.ndarray      # finite, positive budgets
     distinct: np.ndarray    # each column's slope in money, as in the instance
@@ -67,18 +71,23 @@ class _Market:
     def of(cls, inst: Instance, scale: float) -> "_Market":
         values = value_array(inst)
         budgets = np.array(inst.budgets, dtype=float)
-        per_dataset = [np.unique(column) for column in values.T]
+        per_dataset = [np.array(sorted(set(column.tolist()))) for column in values.T]
         counts = [d.size for d in per_dataset]
         distinct = np.concatenate(per_dataset)
+        dataset = np.repeat(np.arange(inst.m), counts)
         # infinite budgets never bind; zero budgets never pay
         payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
-        return cls(values / scale, budgets / scale, payers, distinct, distinct / scale,
-                   np.repeat(np.arange(inst.m), counts), np.cumsum([0] + counts))
+        return cls(interested(values[:, dataset], distinct), budgets / scale, payers,
+                   distinct, distinct / scale, dataset, np.cumsum([0] + counts))
 
 
 def _money_scale(inst: Instance) -> float:
-    money = np.concatenate((np.ravel(inst.values), inst.budgets))
-    return float(money[np.isfinite(money)].max()) or 1.0
+    """The largest value or budget, each budget counted up to its buyer's
+    total value, the most she can ever pay: one huge budget must not push
+    every other amount below the solver's absolute tolerances."""
+    values = value_array(inst)
+    budgets = np.minimum(inst.budgets, values.sum(axis=1))
+    return float(max(values.max(), budgets.max())) or 1.0
 
 
 def build_pricing_lp(inst: Instance) -> lp.LpProblem:
@@ -92,7 +101,7 @@ def _build(market: _Market, columns: np.ndarray) -> lp.LpProblem:
     """The pricing LP over the given z columns (ascending indices), then one
     revenue column per paying buyer.  Rows: a budget row per payer, a desire
     row per payer, a shard-sizes-sum-to-one row per dataset."""
-    values, budgets, payers = market.values, market.budgets, market.payers
+    budgets, payers = market.budgets, market.payers
     datasets = market.dataset[columns]
     slopes = market.slopes[columns]
     k = payers.size
@@ -105,7 +114,7 @@ def _build(market: _Market, columns: np.ndarray) -> lp.LpProblem:
     matrix[np.arange(k), r_cols] = 1.0          # budget rows: r_i <= b_i
     matrix[k + np.arange(k), r_cols] = 1.0      # desire rows: r_i - desire_i(z) <= 0
     # buyer i pays slope t per unit of every shard whose slope she can afford
-    affordable = interested(values[:, datasets], slopes)
+    affordable = market.wants[:, columns]
     matrix[k:2 * k, :z] = np.where(affordable[payers], -slopes, 0.0)
     # infinite budgets never bind, so those buyers pay their desire outright
     objective[:z] = np.where(affordable[np.isinf(budgets)], slopes, 0.0).sum(axis=0)
@@ -115,36 +124,14 @@ def _build(market: _Market, columns: np.ndarray) -> lp.LpProblem:
     return lp.LpProblem(objective, matrix, relations, rhs)
 
 
-class _Pricer:
-    """Reduced costs of every z column from a master's duals.
-
-    Buyer ``i`` wants the column of slope ``t`` when ``interested(v_ij, t)``,
-    which holds for a suffix of the buyers sorted by their value of dataset
-    ``j``: the top ``wanting`` of them.  So a column's weight of wanting
-    buyers is one entry of that dataset's reversed cumulative sum.
-    """
-
-    def __init__(self, market: _Market):
-        values = market.values
-        n = values.shape[0]
-        self.order = np.argsort(values, axis=0, kind="stable")
-        wanting = np.concatenate([
-            interested(values[:, j, None], market.slopes[start:stop]).sum(axis=0)
-            for j, (start, stop) in enumerate(zip(market.starts, market.starts[1:]))])
-        self.first = n - wanting                    # sorted position of the first who wants it
-        self.market = market
-        self.unbounded = np.isinf(market.budgets).astype(float)
-
-    def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
-        market = self.market
-        k = market.payers.size
-        weights = self.unbounded.copy()
-        weights[market.payers] = duals[k:2 * k]
-        # suffix[p, j]: weight of the buyers from sorted position p on
-        suffix = np.zeros((weights.size + 1, self.order.shape[1]))
-        suffix[:-1] = np.cumsum(weights[self.order][::-1], axis=0)[::-1]
-        mu = duals[2 * k:]
-        return market.slopes * suffix[self.first, market.dataset] - mu[market.dataset]
+def _reduced_costs(market: _Market, duals: np.ndarray) -> np.ndarray:
+    """Every z column's reduced cost at a master's duals: its slope times the
+    weight of the buyers who want it (a payer's desire-row dual, one for an
+    infinite budget), less its dataset's sum-row dual."""
+    k = market.payers.size
+    weights = np.isinf(market.budgets).astype(float)
+    weights[market.payers] = duals[k:2 * k]
+    return market.slopes * (weights @ market.wants) - duals[2 * k:][market.dataset]
 
 
 def _entering(market: _Market, reduced: np.ndarray, in_master: np.ndarray) -> np.ndarray:
@@ -163,7 +150,6 @@ def solve_plc(inst: Instance) -> PlcSolution:
     shard curves."""
     scale = _money_scale(inst)
     market = _Market.of(inst, scale)
-    pricer = _Pricer(market)
     in_master = np.zeros(market.slopes.size, dtype=bool)
     in_master[(market.starts[:-1] + market.starts[1:] - 1) // 2] = True  # the medians
     rounds, pivots = 0, np.zeros(3, dtype=int)
@@ -174,7 +160,7 @@ def solve_plc(inst: Instance) -> PlcSolution:
             raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
         rounds += 1
         pivots += (solution.phase1_pivots, solution.phase2_pivots, solution.degenerate_pivots)
-        entering = _entering(market, pricer.reduced_costs(np.array(solution.duals)), in_master)
+        entering = _entering(market, _reduced_costs(market, np.array(solution.duals)), in_master)
         if not entering.size:
             break
         in_master[entering] = True
@@ -190,7 +176,8 @@ def solve_plc(inst: Instance) -> PlcSolution:
 
     per_buyer, total = shard_revenue(inst, shards)
     for i, lp_revenue in zip(market.payers.tolist(), revenues.tolist()):
-        if abs(per_buyer[i] / scale - lp_revenue) > 1e-6:
+        # in money: 1e-6, or 1e-6 of the scale when that is smaller
+        if abs(per_buyer[i] - lp_revenue * scale) > 1e-6 * min(1.0, scale):
             raise RuntimeError(
                 f"revenue mismatch for buyer {i}: curves give {per_buyer[i]}, "
                 f"LP gives {lp_revenue * scale}"

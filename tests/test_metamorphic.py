@@ -89,13 +89,15 @@ def test_plc_revenue_does_not_depend_on_the_money_unit(seed):
     assert solve_plc(inst).total_revenue == pytest.approx(highs_plc_revenue(inst), rel=1e-7)
 
 
-# Below 1e-8 money the model's absolute 1e-9 tolerance is 10% of a price:
-# ShardCurve.from_pairs merges optimal slopes closer than that, and the curves
-# then earn less than the (correct) LP optimum, which the cross-check in
-# solve_plc reports.  Budgets above the values make such slopes optimal.
+# Below 1e-8 money the model's absolute 1e-9 tolerance is 10% of a price.
+# Budgets above the values make slopes that close optimal: a buyer within the
+# gap counts as wanting a shard (the LP and the curves agree, and earn more
+# than the unit-money optimum scaled down), and ShardCurve.from_pairs merges
+# such slopes, so the curves earn less than the LP, which the cross-check in
+# solve_plc reports.
 _KERNEL_TOLERANCE = pytest.mark.xfail(
-    strict=True, raises=RuntimeError,
-    reason="absolute slope tolerance of ShardCurve at money unit 1e-8; see ROADMAP.md item 1")
+    strict=True, reason="absolute interest and slope tolerances of the model at money "
+    "unit 1e-8; see ROADMAP.md item 1")
 
 
 @pytest.mark.parametrize("c, budget_scale", [

@@ -169,8 +169,8 @@ def test_diagnostics_stay_out_of_the_output():
 
 
 def test_pricing_equals_full_lp_reduced_costs():
-    """The sorted cumulative sums price every column as ``c - yA`` does on
-    the full LP, at the duals of a master."""
+    """The wants mask prices every column as ``c - yA`` does on the full LP,
+    at the duals of a master."""
     for budget_scale in (0.25, 4.0, 16.0):
         inst = gen_random(20, 10, seed=5, budget_scale=budget_scale)
         inst = Instance.make([math.inf] + list(inst.budgets[1:]), inst.values)
@@ -180,6 +180,23 @@ def test_pricing_equals_full_lp_reduced_costs():
         duals = np.array(master.duals)
         full = plc_opt._build(market, np.arange(market.slopes.size))
         want = (full.c - duals @ full.A)[:market.slopes.size]
-        got = plc_opt._Pricer(market).reduced_costs(duals)
+        got = plc_opt._reduced_costs(market, duals)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert (want > lp.PIVOT_TOL).any()  # the medians alone are not optimal
+
+
+@pytest.mark.parametrize("budgets, values, revenue", [
+    ([1e12, 1.0], [[1.0], [0.1]], 1.0),  # the money scale ignores the unreachable budget
+    ([3000.0] * 3, [[999.9999995], [1000.0], [1500.0]], 2999.9999985),  # a tie within 1e-9
+])
+def test_solve_plc_edge_cases_match_highs(budgets, values, revenue):
+    inst = Instance.make(budgets, values)
+    assert solve_plc(inst).total_revenue == pytest.approx(revenue, rel=1e-12)
+    assert highs_plc_revenue(inst) == pytest.approx(revenue, rel=1e-12)
+
+
+def test_one_huge_budget_keeps_the_optimum():
+    base = gen_random(30, 10, seed=3)
+    for huge in (1e6, 1e12):
+        inst = Instance.make([huge] + list(base.budgets[1:]), base.values)
+        assert solve_plc(inst).total_revenue == pytest.approx(highs_plc_revenue(inst), rel=1e-7)
