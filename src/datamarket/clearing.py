@@ -15,7 +15,10 @@ revenue, until the vector is clearable.  Each iteration fixes the
 lowest-index violating item by dropping its price just enough to satisfy
 some interested budget-constrained buyer (or to zero when there is none),
 and a bounded integer potential strictly decreases, so the loop terminates
-within ``(M + 1) * (n + 1)**2`` iterations for ``M`` items.
+within ``(M + 1) * (n + 1)**2`` iterations for ``M`` items.  It scans the
+market once; after each lowering it rescans only that item's column and the
+desires of the buyers who want it, which gives the same bits as a full
+rescan, since no other buyer's wanted prices moved.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def is_clearable(mkt: ItemMarket, prices=None) -> bool:
 
 
 def _potential(mkt: ItemMarket, q, wants, desire_) -> int:
-    phi1 = np.count_nonzero(q > TOLERANCE) + np.count_nonzero(~wants)
+    phi1 = np.count_nonzero(q > TOLERANCE) + wants.size - np.count_nonzero(wants)
     phi2 = np.count_nonzero(desire_ > mkt.arrays[1] + TOLERANCE)
     return int((mkt.num_buyers + 1) * phi1 + phi2)
 
@@ -132,26 +135,30 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     Returns the new prices, the iteration count, and the potential trace
     (its value before each iteration and after the last one).
     """
-    q = np.array(mkt.prices, dtype=float)
-    budgets = mkt.arrays[1]
+    values, budgets, sizes = mkt.arrays
+    q, wants, desire_ = mkt.scan(np.array(mkt.prices, dtype=float))
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     potentials = []
     iterations = 0
     while True:
-        scan = mkt.scan(q)
-        potentials.append(_potential(mkt, *scan))
-        j = _violating_item(mkt, *scan)
+        potentials.append(_potential(mkt, q, wants, desire_))
+        j = _violating_item(mkt, q, wants, desire_)
         if j is None:
             return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
         if iterations >= bound:
             raise RuntimeError("clearabilize failed to terminate within its bound")
-        _, wants, desire_ = scan
         constrained_interested = wants[:, j] & (desire_ > budgets + TOLERANCE)
         if constrained_interested.any():
             beta = q[j] - desire_[constrained_interested] + budgets[constrained_interested]
             q[j] = max(0.0, float(beta.max()))
         else:
             q[j] = 0.0
+        # only item j's price moved: rescan its column, and the desires of the
+        # buyers who wanted it before or want it now
+        column = interested(values[:, j], q[j], None if sizes is None else sizes[j])
+        moved = column | wants[:, j]
+        wants[:, j] = column
+        desire_[moved] = desires(wants[moved], q)
         iterations += 1
 
 

@@ -7,7 +7,9 @@ indifference buys, within the global tolerance per unit of the item's
 size), her desire is the total price of the items she wants (``desires``),
 and the market collects ``sum_i min(b_i, desire_i)`` (``revenue``).  Both
 sums run left to right, in item order and in buyer order, so no result
-depends on the pairwise order of numpy's ``ndarray.sum``.
+depends on the pairwise order of numpy's ``ndarray.sum``: item sums of at
+most ``ACCUMULATE_ROWS`` rows by ``np.add.accumulate``, taller ones one
+column at a time, which add in the same sequence and give the same bits.
 """
 
 from __future__ import annotations
@@ -37,8 +39,21 @@ def interested(values, prices, sizes=None) -> np.ndarray:
     return values >= prices - tolerance
 
 
+#: Sums of at most this many rows use ``np.add.accumulate``, taller ones the
+#: column loop: accumulate costs per element and the loop per column, and
+#: they break even near 256 rows.
+ACCUMULATE_ROWS = 256
+
+
 def left_to_right(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in index order, one column at a time."""
+    """Sum over the last axis in index order.
+
+    ``np.add.accumulate`` adds strictly in sequence, as the column loop does,
+    so both give the same bits; ``+ 0.0`` makes an all ``-0.0`` sum ``+0.0``,
+    as the loop's zero start does.  An empty last axis sums to zeros.
+    """
+    if x.shape[-1] and math.prod(x.shape[:-1]) <= ACCUMULATE_ROWS:
+        return np.add.accumulate(x, axis=-1, dtype=float)[..., -1] + 0.0
     total = np.zeros(x.shape[:-1])
     for column in np.rollaxis(x, -1):
         total = total + column
@@ -74,8 +89,19 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     values = np.asarray(values, dtype=float)
     if len(shards) != values.shape[-1]:
         raise ValueError(f"got {len(shards)} curves for {values.shape[-1]} datasets")
-    prices, sizes = _shard_grid(tuple(shards))
+    global _last_grid
+    last, grid = _last_grid  # one read, so the key and the arrays stay a pair
+    if shards is not last:
+        grid = _shard_grid(tuple(shards))
+        if type(shards) is tuple:  # a tuple of frozen curves cannot change; a list can
+            _last_grid = shards, grid
+    prices, sizes = grid
     return values[..., None] * sizes, prices, sizes
+
+
+#: The last tuple ShardSet read and its arrays: found by identity, which
+#: saves hashing every curve for the ``lru_cache`` on repeated reads.
+_last_grid: tuple = (None, None)
 
 
 @lru_cache(maxsize=8)

@@ -264,3 +264,44 @@ def pricing_battery(seed: int):
             part = [rng.randrange(n) for _ in range(m)]
             out.append((inst, prices_to_shardset(partition_prices(inst, part))))
     return out
+
+
+def clearabilize_reference(prices, values, budgets, sizes=None):
+    """Plain-Python clearing that rescans the whole market every iteration.
+
+    Returns ``(prices, iterations, potentials)``.  Each iteration reads who
+    wants which item (value covers price within ``1e-9`` per unit of size)
+    and every desire (wanted prices added left to right) afresh, records the
+    potential, and lowers the lowest-index positively priced item that no
+    satisfied interested buyer holds: to the largest ``price - desire +
+    budget`` over its interested budget-constrained buyers, or to zero when
+    it has none.
+    """
+    q = [float(p) for p in prices]
+    n, count = len(budgets), len(q)
+    sizes = [1.0] * count if sizes is None else sizes
+    potentials = []
+    iterations = 0
+    while True:
+        wants = [[values[i][k] >= q[k] - 1e-9 * sizes[k] for k in range(count)]
+                 for i in range(n)]
+        desire = []
+        for row in wants:
+            total = 0.0
+            for k in range(count):
+                if row[k]:
+                    total += q[k]
+            desire.append(total)
+        constrained = [desire[i] > budgets[i] + 1e-9 for i in range(n)]
+        priced = sum(price > 1e-9 for price in q)
+        unwanted = sum(not wanted for row in wants for wanted in row)
+        potentials.append((n + 1) * (priced + unwanted) + sum(constrained))
+        violating = [k for k in range(count) if q[k] > 1e-9
+                     and not any(wants[i][k] and not constrained[i] for i in range(n))]
+        if not violating:
+            return tuple(q), iterations, tuple(potentials)
+        j = violating[0]
+        lowered = [q[j] - desire[i] + budgets[i] for i in range(n)
+                   if wants[i][j] and constrained[i]]
+        q[j] = max(0.0, max(lowered)) if lowered else 0.0
+        iterations += 1

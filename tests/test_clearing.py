@@ -17,7 +17,7 @@ from datamarket.clearing import (
 from datamarket.fixtures import gen_ce_se, gen_nonsub, gen_random, gen_sepgap
 from datamarket.model import Instance, ShardCurve
 from datamarket.plc_opt import solve_plc
-from oracle_util import pricing_battery, spend_reference
+from oracle_util import clearabilize_reference, pricing_battery, spend_reference
 
 
 def test_shards_to_items_linear_roundtrip():
@@ -235,3 +235,47 @@ def test_clearabilize_postconditions_on_sized_shard_markets():
             market, prices=tuple(q * rng.uniform(1.0, 3.0) for q in market.prices))
         assert bumped.sizes is not None and bumped.sizes == market.sizes
         _assert_postconditions(bumped, clearabilize(bumped))
+
+
+def _assert_matches_full_rescan(market):
+    result = clearabilize(market)
+    want = clearabilize_reference(market.prices, market.values, market.budgets, market.sizes)
+    assert (result.prices, result.iterations, result.potentials) == want
+    return result.iterations
+
+
+def test_clearabilize_equals_a_full_rescan_on_the_pricing_battery():
+    iterations = sum(_assert_matches_full_rescan(shards_to_items(inst, shards))
+                     for inst, shards in pricing_battery(64))
+    assert iterations > 100
+
+
+def test_clearabilize_equals_a_full_rescan_on_sized_shard_markets():
+    rng = random.Random(224)
+    iterations = 0
+    for trial in range(20):
+        inst = gen_random(rng.randint(2, 12), rng.randint(1, 6), seed=trial + 8200,
+                          budget_scale=rng.choice([0.25, 1.0]))
+        market = shards_to_items(inst, solve_plc(inst).shards)
+        bumped = dataclasses.replace(
+            market, prices=tuple(q * rng.uniform(1.0, 3.0) for q in market.prices))
+        iterations += _assert_matches_full_rescan(bumped)
+    assert iterations > 20
+
+
+def test_clearabilize_equals_a_full_rescan_on_hand_built_markets():
+    # values drawn from the prices make ties, and an infinite budget never binds
+    rng = random.Random(225)
+    iterations = 0
+    for _ in range(200):
+        n, count = rng.randint(1, 6), rng.randint(1, 6)
+        prices = [rng.choice([0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)])
+                  for _ in range(count)]
+        values = [[rng.choice([prices[k], rng.uniform(0.0, 2.0)]) for k in range(count)]
+                  for _ in range(n)]
+        budgets = [rng.choice([float("inf"), rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0)])
+                   for _ in range(n)]
+        market = ItemMarket(tuple(prices), tuple(map(tuple, values)), tuple(budgets))
+        assert market.sizes is None
+        iterations += _assert_matches_full_rescan(market)
+    assert iterations > 100

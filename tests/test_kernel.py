@@ -5,12 +5,13 @@ Python loops written in that order, and pin the output of
 
 import random
 
+import numpy as np
 import pytest
 
 from datamarket.clearing import market_from_prices, per_buyer_revenue, shards_to_items
 from datamarket.fixtures import gen_random
 from datamarket.linear_opt import continuous_greedy
-from datamarket.revenue import extension_value, linear_revenue, shard_revenue
+from datamarket.revenue import extension_value, left_to_right, linear_revenue, shard_revenue
 from oracle_util import (
     instance_battery,
     left_to_right_desire,
@@ -27,6 +28,43 @@ def _shard_desire(row, shards):
         desire += left_to_right_desire((v * size, slope * size, size)
                                        for size, slope in curve.shards)
     return desire
+
+
+def _column_loop(x):
+    total = np.zeros(x.shape[:-1])
+    for k in range(x.shape[-1]):
+        total = total + x[..., k]
+    return total
+
+
+def _mixed(rng, shape):
+    """Signed values from 1e-8 to 1e8, so that the order of the adds shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()  # so -0.0 differs from 0.0
+
+
+@pytest.mark.parametrize("shape", [(50,), (1, 50), (256, 50), (257, 50), (300, 4, 6), (4, 0),
+                                   (0,)])
+def test_left_to_right_is_a_column_loop(shape):
+    x = _mixed(np.random.default_rng(list(shape)), shape)
+    _assert_same_bits(left_to_right(x), _column_loop(x))
+
+
+@pytest.mark.parametrize("rows", [1, 256, 257])
+def test_left_to_right_on_zeros_and_views(rows):
+    rng = np.random.default_rng(rows)
+    x = _mixed(rng, (rows, 40))
+    x[0] = -0.0  # an all -0.0 row sums to +0.0, as from the loop's zero start
+    x[rows // 2, ::2] = -0.0
+    _assert_same_bits(left_to_right(x), _column_loop(x))
+    assert np.signbit(left_to_right(x)[0]) == np.False_
+    transposed = _mixed(rng, (40, rows)).T  # a strided view
+    _assert_same_bits(left_to_right(transposed), _column_loop(transposed))
 
 
 def test_linear_revenue_adds_left_to_right():

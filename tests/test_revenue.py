@@ -173,3 +173,15 @@ def test_shard_arrays_are_built_once_per_shardset():
     assert again is prices  # every buyer under one pricing shares the arrays
     assert prices.tolist() == [[0.125, 1.5], [1.0, math.inf]]
     assert not prices.flags.writeable and not sizes.flags.writeable
+
+
+def test_a_changed_list_shardset_is_read_again():
+    shards = [ShardCurve(((1.0, 1.0),)), ShardCurve(((1.0, 2.0),))]
+    _, prices, _ = shard_items([1.0, 2.0], shards)
+    shards[1] = ShardCurve(((1.0, 3.0),))  # the same list object, changed
+    _, again, _ = shard_items([1.0, 2.0], shards)
+    assert prices.tolist() == [[1.0], [2.0]]
+    assert again.tolist() == [[1.0], [3.0]]
+    frozen = tuple(shards)
+    assert shard_items([1.0, 2.0], frozen)[1] is again  # equal sets share arrays
+    assert shard_items([1.0, 2.0], frozen)[1] is again  # and so does the same tuple
