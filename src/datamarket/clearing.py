@@ -13,9 +13,10 @@ fully bought by someone.
 ``clearabilize`` lowers prices, never raising any and never losing per-buyer
 revenue, until the vector is clearable.  Each iteration fixes the
 lowest-index violating item by dropping its price just enough to satisfy
-some interested budget-constrained buyer (or to zero when there is none),
-and a bounded integer potential strictly decreases, so the loop terminates
-within ``(M + 1) * (n + 1)**2`` iterations for ``M`` items.  It scans the
+some interested budget-constrained buyer, to her budget minus her other
+wanted prices (or to zero when there is none), and a bounded integer
+potential strictly decreases, so the loop terminates within ``(M + 1) *
+(n + 1)**2`` iterations for ``M`` items.  It scans the
 market once; after each lowering it rescans only that item's column and the
 desires of the buyers who want it, which gives the same bits as a full
 rescan, since no other buyer's wanted prices moved.
@@ -149,7 +150,10 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
             raise RuntimeError("clearabilize failed to terminate within its bound")
         constrained_interested = wants[:, j] & (desire_ > budgets + TOLERANCE)
         if constrained_interested.any():
-            beta = q[j] - desire_[constrained_interested] + budgets[constrained_interested]
+            # what each such buyer has left after her other wanted items
+            others = wants[constrained_interested]
+            others[:, j] = False
+            beta = budgets[constrained_interested] - desires(others, q)
             q[j] = max(0.0, float(beta.max()))
         else:
             q[j] = 0.0

@@ -273,9 +273,9 @@ def clearabilize_reference(prices, values, budgets, sizes=None):
     wants which item (value covers price within ``1e-9`` per unit of size)
     and every desire (wanted prices added left to right) afresh, records the
     potential, and lowers the lowest-index positively priced item that no
-    satisfied interested buyer holds: to the largest ``price - desire +
-    budget`` over its interested budget-constrained buyers, or to zero when
-    it has none.
+    satisfied interested buyer holds: to the largest budget minus the
+    buyer's other wanted prices (added left to right) over its interested
+    budget-constrained buyers, or to zero when it has none.
     """
     q = [float(p) for p in prices]
     n, count = len(budgets), len(q)
@@ -301,7 +301,13 @@ def clearabilize_reference(prices, values, budgets, sizes=None):
         if not violating:
             return tuple(q), iterations, tuple(potentials)
         j = violating[0]
-        lowered = [q[j] - desire[i] + budgets[i] for i in range(n)
-                   if wants[i][j] and constrained[i]]
+        lowered = []
+        for i in range(n):
+            if wants[i][j] and constrained[i]:
+                others = 0.0
+                for k in range(count):
+                    if wants[i][k] and k != j:
+                        others += q[k]
+                lowered.append(budgets[i] - others)
         q[j] = max(0.0, max(lowered)) if lowered else 0.0
         iterations += 1

@@ -220,7 +220,7 @@ def test_clearabilize_decides_shard_interest_per_unit():
     assert result.potentials == (16, 12, 3)
     _assert_postconditions(market, result)
     whole = clearabilize(dataclasses.replace(market, sizes=None))
-    assert whole.prices == (0.29900000000000004, 0.001)
+    assert whole.prices == (0.299, 0.001)  # the budget 0.3 minus the other price 0.001
     assert whole.iterations == 1
 
 
@@ -279,3 +279,16 @@ def test_clearabilize_equals_a_full_rescan_on_hand_built_markets():
         assert market.sizes is None
         iterations += _assert_matches_full_rescan(market)
     assert iterations > 100
+
+
+def test_clearabilize_lowers_to_the_budget_left_without_residue():
+    # nonsub's optimal curves price dataset 0 at 0.001; buyer 1 wants both
+    # datasets on a budget of 1, so dataset 0 drops to 1 - 1.0 = 0.0 exactly,
+    # where 0.001 - 1.001 + 1 left 1.1102230246251565e-16
+    inst = gen_nonsub(0.001)
+    market = shards_to_items(inst, solve_plc(inst).shards)
+    assert market.prices == (0.001, 1.0)
+    result = clearabilize(market)
+    assert result.prices == (0.0, 1.0)
+    assert result.iterations == 1
+    _assert_postconditions(market, result)
