@@ -63,6 +63,8 @@ def _cmd_solve_plc(args) -> int:
             "bundles": [_bundle_dict(b) for b in alloc.bundles],
             "total_revenue": alloc.total_revenue,
         }
+    if args.stats:
+        doc["stats"] = {**sol.diagnostics, "kink_bound": inst.m + inst.n}
     if args.out:
         _write_json(doc, args.out)
     _emit(doc)
@@ -114,7 +116,7 @@ def _cmd_clear(args) -> int:
     else:
         market = clearing.market_from_prices(inst, load_prices(args.prices))
     result = clearing.clearabilize(market)
-    _emit({
+    doc = {
         "before": {
             "prices": list(market.prices),
             "per_buyer_revenue": list(clearing.per_buyer_revenue(market)),
@@ -125,7 +127,10 @@ def _cmd_clear(args) -> int:
         },
         "iterations": result.iterations,
         "clearable": clearing.is_clearable(market, result.prices),
-    })
+    }
+    if args.stats:
+        doc["stats"] = {"potentials": list(result.potentials)}
+    _emit(doc)
     return 0
 
 
@@ -221,6 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--out", help="also write the solution JSON to this file")
     p.add_argument("--allocate", action="store_true", help="include per-buyer bundles")
+    p.add_argument("--stats", action="store_true",
+                   help="include solver counts and the m + n kink bound")
     p.set_defaults(func=_cmd_solve_plc)
 
     p = sub.add_parser("solve-linear", help="optimal or approximate linear pricing")
@@ -246,6 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prices")
     group.add_argument("--shards")
+    p.add_argument("--stats", action="store_true",
+                   help="include the potential before each iteration and after the last")
     p.set_defaults(func=_cmd_clear)
 
     p = sub.add_parser("gen", help="generate a benchmark instance")

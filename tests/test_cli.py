@@ -110,6 +110,41 @@ def test_clear_subcommand(capsys, tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(doc["after"]["prices"], doc["before"]["prices"]))
 
 
+def test_solve_plc_stats_are_opt_in(capsys, suboptimal_path, tmp_path):
+    argv = ["solve-plc", "--instance", suboptimal_path, "--allocate"]
+    _, plain = run(capsys, argv)
+    out_path = tmp_path / "solution.json"
+    code, out = run(capsys, argv + ["--stats", "--out", str(out_path)])
+    assert code == 0 and out_path.read_text() == out
+    doc = json.loads(out)
+    stats = doc.pop("stats")
+    assert "stats" not in json.loads(plain)
+    assert json.dumps(doc, sort_keys=True) + "\n" == plain  # nothing else moves
+    inst = gen_greedy_suboptimal()
+    assert stats["kink_bound"] == inst.m + inst.n
+    assert doc["positive_shard_count"] <= stats["kink_bound"]
+    assert stats["rounds"] >= 1
+    assert stats["z_columns"] <= stats["z_columns_full"]
+    assert {"phase1_pivots", "phase2_pivots", "degenerate_pivots"} <= stats.keys()
+
+
+def test_clear_stats_are_opt_in(capsys, tmp_path):
+    inst_path = tmp_path / "inst.json"
+    save_instance(gen_nonsub(0.001), inst_path)
+    price_path = tmp_path / "prices.json"
+    save_prices((5.0, 5.0), price_path)
+    argv = ["clear", "--instance", str(inst_path), "--prices", str(price_path)]
+    _, plain = run(capsys, argv)
+    code, out = run(capsys, argv + ["--stats"])
+    assert code == 0
+    doc = json.loads(out)
+    potentials = doc.pop("stats")["potentials"]
+    assert "stats" not in json.loads(plain)
+    assert json.dumps(doc, sort_keys=True) + "\n" == plain
+    assert len(potentials) == doc["iterations"] + 1
+    assert all(a > b for a, b in zip(potentials, potentials[1:]))
+
+
 @pytest.mark.parametrize("curves", [1, 3])
 def test_clear_rejects_shard_count_mismatch(capsys, tmp_path, curves):
     inst_path = tmp_path / "inst.json"
