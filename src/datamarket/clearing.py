@@ -150,10 +150,14 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
             raise RuntimeError("clearabilize failed to terminate within its bound")
         constrained_interested = wants[:, j] & (desire_ > budgets + TOLERANCE)
         if constrained_interested.any():
-            # what each such buyer has left after her other wanted items
+            # what each such buyer has left after her other wanted items; where
+            # rounding leaves that at or above the price (large money), her
+            # excess over the budget comes off the price instead
+            budget = budgets[constrained_interested]
             others = wants[constrained_interested]
             others[:, j] = False
-            beta = budgets[constrained_interested] - desires(others, q)
+            left = budget - desires(others, q)
+            beta = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
             q[j] = max(0.0, float(beta.max()))
         else:
             q[j] = 0.0

@@ -275,7 +275,9 @@ def clearabilize_reference(prices, values, budgets, sizes=None):
     potential, and lowers the lowest-index positively priced item that no
     satisfied interested buyer holds: to the largest budget minus the
     buyer's other wanted prices (added left to right) over its interested
-    budget-constrained buyers, or to zero when it has none.
+    budget-constrained buyers, or to zero when it has none.  A buyer for
+    whom rounding leaves that at or above the price offers the price minus
+    her excess over the budget instead.
     """
     q = [float(p) for p in prices]
     n, count = len(budgets), len(q)
@@ -308,6 +310,7 @@ def clearabilize_reference(prices, values, budgets, sizes=None):
                 for k in range(count):
                     if wants[i][k] and k != j:
                         others += q[k]
-                lowered.append(budgets[i] - others)
+                left = budgets[i] - others
+                lowered.append(left if left < q[j] else q[j] - desire[i] + budgets[i])
         q[j] = max(0.0, max(lowered)) if lowered else 0.0
         iterations += 1

@@ -292,3 +292,20 @@ def test_clearabilize_lowers_to_the_budget_left_without_residue():
     assert result.prices == (0.0, 1.0)
     assert result.iterations == 1
     _assert_postconditions(market, result)
+
+
+@pytest.mark.parametrize("seed, c", [(2, 1e8), (8, 1e12), (19, 1e12)])
+def test_clearabilize_keeps_lowering_when_rounding_keeps_a_buyer_over_budget(seed, c):
+    # at this much money a price set to the budget left can round the buyer's
+    # desire back above her budget; the price then drops by her excess.  (The
+    # potential need not fall strictly here: the absolute 1e-9 of the
+    # satisfied test is below one rounding of these budgets.)
+    base = gen_random(15, 8, seed)
+    inst = Instance.make([b * c for b in base.budgets],
+                         [[v * c for v in row] for row in base.values])
+    market = market_from_prices(inst, [max(row[j] for row in inst.values) for j in range(inst.m)])
+    result = clearabilize(market)
+    assert is_clearable(market, result.prices)
+    assert all(q1 <= q0 for q0, q1 in zip(market.prices, result.prices))
+    want = clearabilize_reference(market.prices, market.values, market.budgets)
+    assert (result.prices, result.iterations, result.potentials) == want

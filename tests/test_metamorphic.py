@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from datamarket.clearing import clearabilize, market_from_prices
 from datamarket.fixtures import gen_random
 from datamarket.linear_opt import exact_bruteforce
 from datamarket.model import Instance, ShardCurve
@@ -109,3 +110,27 @@ def test_plc_revenue_scales_with_the_money_unit(c, budget_scale):
         base = gen_random(15, 8, seed, budget_scale=budget_scale)
         assert solve_plc(_scaled(base, c)).total_revenue == pytest.approx(
             c * highs_plc_revenue(base), rel=1e-7)
+
+
+# Clearing compares desires with budgets and values with prices within the
+# model's absolute 1e-9: a tenth of a price at money unit 1e-8, so buyers
+# count as wanting items priced 10% above their values, and less than one
+# rounding of a price at 1e8, so a buyer whose desire rounds a few units of
+# the last place above her budget counts as constrained.
+_CLEARING_TOLERANCE = pytest.mark.xfail(
+    strict=True, reason="clearing's absolute 1e-9 tolerance at money units 1e-8 and 1e8; "
+    "see ROADMAP.md item 1")
+
+
+@pytest.mark.parametrize("c", [pytest.param(1e-8, marks=_CLEARING_TOLERANCE), 1e-4, 1e4,
+                               pytest.param(1e8, marks=_CLEARING_TOLERANCE)])
+def test_clearing_scales_with_the_money_unit(c):
+    # posted at each dataset's highest value, where most budgets bind
+    for seed in range(20):
+        base = gen_random(15, 8, seed)
+        highest = [max(row[j] for row in base.values) for j in range(base.m)]
+        unit = clearabilize(market_from_prices(base, highest))
+        got = clearabilize(market_from_prices(_scaled(base, c), [c * p for p in highest]))
+        assert got.iterations == unit.iterations
+        assert got.prices == pytest.approx([c * p for p in unit.prices], rel=1e-9,
+                                           abs=1e-12 * c)
