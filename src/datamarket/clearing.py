@@ -120,7 +120,7 @@ def is_clearable(mkt: ItemMarket, prices=None) -> bool:
 
 
 def _potential(mkt: ItemMarket, q, wants, desire_) -> int:
-    phi1 = np.count_nonzero(q > TOLERANCE) + wants.size - np.count_nonzero(wants)
+    phi1 = np.count_nonzero(q > TOLERANCE) + np.count_nonzero(~wants)
     phi2 = np.count_nonzero(desire_ > mkt.arrays[1] + TOLERANCE)
     return int((mkt.num_buyers + 1) * phi1 + phi2)
 
@@ -150,15 +150,15 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
             raise RuntimeError("clearabilize failed to terminate within its bound")
         constrained_interested = wants[:, j] & (desire_ > budgets + TOLERANCE)
         if constrained_interested.any():
-            # what each such buyer has left after her other wanted items; where
-            # rounding leaves that at or above the price (large money), her
-            # excess over the budget comes off the price instead
+            # what each such buyer has left after her other wanted items
             budget = budgets[constrained_interested]
             others = wants[constrained_interested]
             others[:, j] = False
             left = budget - desires(others, q)
-            beta = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
-            q[j] = max(0.0, float(beta.max()))
+            if left.max() >= q[j]:
+                # rounding at large money: that buyer's excess comes off instead
+                left = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
+            q[j] = max(0.0, float(left.max()))
         else:
             q[j] = 0.0
         # only item j's price moved: rescan its column, and the desires of the
