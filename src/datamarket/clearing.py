@@ -16,10 +16,10 @@ lowest-index violating item by dropping its price just enough to satisfy
 some interested budget-constrained buyer, to her budget minus her other
 wanted prices (or to zero when there is none), and a bounded integer
 potential strictly decreases, so the loop terminates within ``(M + 1) *
-(n + 1)**2`` iterations for ``M`` items.  It scans the
-market once; after each lowering it rescans only that item's column and the
-desires of the buyers who want it, which gives the same bits as a full
-rescan, since no other buyer's wanted prices moved.
+(n + 1)**2`` iterations for ``M`` items.  It scans the market once; after
+each lowering it rescans only that item's column and the desires of the
+buyers who want it, which gives the same bits as a full rescan, since no
+other buyer's wanted prices moved.
 """
 
 from __future__ import annotations
