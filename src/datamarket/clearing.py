@@ -137,7 +137,7 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     (its value before each iteration and after the last one).
     """
     values, budgets, sizes = mkt.arrays
-    q, wants, desire_ = mkt.scan(np.array(mkt.prices, dtype=float))
+    q, wants, desire_ = mkt.scan()  # a fresh price array, lowered in place
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     potentials = []
     iterations = 0
