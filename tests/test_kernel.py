@@ -49,10 +49,11 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("shape", [(50,), (1, 50), (256, 50), (257, 50), (300, 4, 6), (4, 0),
-                                   (0,)])
+                                   (0,), (3, 1)])
 def test_left_to_right_is_a_column_loop(shape):
     x = _mixed(np.random.default_rng(list(shape)), shape)
     _assert_same_bits(left_to_right(x), _column_loop(x))
+    _assert_same_bits(left_to_right(-0.0 * np.abs(x)), _column_loop(-0.0 * np.abs(x)))
 
 
 @pytest.mark.parametrize("rows", [1, 256, 257])
@@ -61,6 +62,7 @@ def test_left_to_right_on_zeros_and_views(rows):
     x = _mixed(rng, (rows, 40))
     x[0] = -0.0  # an all -0.0 row sums to +0.0, as from the loop's zero start
     x[rows // 2, ::2] = -0.0
+    x[:, 7] = -0.0  # an all -0.0 column
     _assert_same_bits(left_to_right(x), _column_loop(x))
     assert np.signbit(left_to_right(x)[0]) == np.False_
     transposed = _mixed(rng, (40, rows)).T  # a strided view
