@@ -14,12 +14,20 @@ fully bought by someone.
 revenue, until the vector is clearable.  Each iteration fixes the
 lowest-index violating item by dropping its price just enough to satisfy
 some interested budget-constrained buyer, to her budget minus her other
-wanted prices (or to zero when there is none), and a bounded integer
-potential strictly decreases, so the loop terminates within ``(M + 1) *
-(n + 1)**2`` iterations for ``M`` items.  It scans the market once; after
-each lowering it rescans only that item's column and the desires of the
-buyers who want it, which gives the same bits as a full rescan, since no
-other buyer's wanted prices moved.
+wanted prices (or to zero when there is none).  A bounded integer potential
+never rises, and it strictly decreases whenever that buyer's new desire
+passes the satisfied test, ``desire <= budget + 1e-9``; so the loop
+terminates within ``(M + 1) * (n + 1)**2`` iterations for ``M`` items.  The
+test passes when the few roundings in her new desire stay under the
+absolute ``1e-9``, as they do for budgets up to about ``1e6``.  With much
+more money (``gen_random(15, 8, 8)`` times ``1e12``) a lowering can leave
+her desire a rounding over budget and every count as it was, so the
+potential stays level for that iteration; the price still falls, and the
+loop raises ``RuntimeError`` if it exceeds the bound.
+
+It scans the market once; after each lowering it rescans only that item's
+column and the desires of the buyers who want it, which gives the same bits
+as a full rescan, since no other buyer's wanted prices moved.
 """
 
 from __future__ import annotations
@@ -126,7 +134,8 @@ def _potential(mkt: ItemMarket, q, wants, desire_) -> int:
 
 
 def potential(mkt: ItemMarket, prices) -> int:
-    """Bounded integer potential that strictly decreases per iteration."""
+    """Bounded integer potential that ``clearabilize`` never raises and, unless
+    rounding keeps a buyer over budget, lowers every iteration."""
     return _potential(mkt, *mkt.scan(prices))
 
 

@@ -167,6 +167,29 @@ def _sample_copy_choices(y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sampled_marginals(budgets, W: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's revenue with and without each copy (``samples x n*m``).
+
+    ``sel`` marks the copies each sample picked and ``load = sel @ W.T`` is
+    every buyer's desire in each sample.  Leaving out a copy the sample did
+    not pick subtracts ``+0.0``, which leaves ``load`` as it is, so the
+    revenue without it is the sample's own and the revenue with it needs one
+    dense pass per buyer, ``load + W[i]``.  Only the picked copies, at most
+    one per dataset and sample, take the desire with the copy left out,
+    ``load - W[i]``, and add the copy back; rounding makes that differ from
+    ``load``.  Every sum adds in buyer order through ``revenue``.
+    """
+    load = sel @ W.T  # samples x n
+    r_with = revenue(budgets, (load[:, i, None] + w for i, w in enumerate(W)))
+    r_without = np.repeat(revenue(budgets, load.T)[:, None], sel.shape[1], axis=1)
+    sample_idx, copy_idx = np.nonzero(sel)
+    w = W[:, copy_idx]  # n x picked
+    without = load[sample_idx].T - w
+    r_with[sample_idx, copy_idx] = revenue(budgets, without + w)
+    r_without[sample_idx, copy_idx] = revenue(budgets, without)
+    return r_with, r_without
+
+
 def continuous_greedy(
     inst: Instance,
     steps: int = 50,
@@ -190,25 +213,21 @@ def continuous_greedy(
     W = _copy_weights(inst)
     y = np.zeros((n, m))
 
+    step_marginals, step_spreads = [], []
     for _ in range(steps):
         choices = _sample_copy_choices(y, rng.random((samples, m)))  # samples x m
         sel = np.zeros((samples, n * m))
         picked = choices < n
         sample_idx, dataset_idx = np.nonzero(picked)
         sel[sample_idx, choices[picked] * m + dataset_idx] = 1.0
-        load = sel @ W.T  # samples x n
-
-        def without():
-            # buyer by buyer, each buyer's desire in every sample with each
-            # copy left out (samples x n*m), so no samples x n x n*m array
-            return (load[:, i, None] - W[i] * sel for i in range(n))
-
-        r_with = revenue(inst.budgets, (desire + w for desire, w in zip(without(), W)))
-        r_without = revenue(inst.budgets, without())
-        marginal = (r_with - r_without).mean(axis=0)  # one value per copy
-        for j in range(m):
-            best_copy = int(np.argmax(marginal[np.arange(n) * m + j]))
-            y[best_copy, j] += 1.0 / steps
+        r_with, r_without = _sampled_marginals(inst.budgets, W, sel)
+        gains = r_with - r_without  # each sample's marginal of each copy
+        marginal = gains.mean(axis=0)
+        best = marginal.reshape(n, m).argmax(axis=0)  # the best copy per dataset
+        y[best, np.arange(m)] += 1.0 / steps
+        committed = best * m + np.arange(m)
+        step_marginals.append(float(marginal[committed].sum()))
+        step_spreads.append(float(gains[:, committed].std(axis=0).max()))
 
     best_part: tuple[int | None, ...] = (None,) * m
     best_rev = -math.inf
@@ -219,7 +238,8 @@ def continuous_greedy(
         if rev > best_rev:
             best_part, best_rev = part, rev
 
-    diagnostics = {"steps": steps, "samples": samples, "roundings": roundings, "seed": seed}
+    diagnostics = {"steps": steps, "samples": samples, "roundings": roundings, "seed": seed,
+                   "step_marginal": tuple(step_marginals), "step_max_std": tuple(step_spreads)}
     return _solution(inst, partition_prices(inst, best_part), "cgreedy", diagnostics, best_part)
 
 

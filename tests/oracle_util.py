@@ -199,6 +199,24 @@ def left_to_right_revenue(budgets, desires) -> float:
     return total
 
 
+def sampled_marginals_reference(budgets, W, sel):
+    """Continuous greedy's per-step estimate as two dense passes: each
+    sample's revenue with and without every copy (``samples x n*m``).  For
+    buyer ``i`` the desire without copy ``c`` is ``load - W[i, c] * sel[c]``
+    and with it that plus ``W[i, c]``; revenues add in buyer order."""
+    load = sel @ W.T  # samples x n
+
+    def without():
+        return (load[:, i, None] - W[i] * sel for i in range(W.shape[0]))
+
+    r_with = r_without = 0.0
+    for budget, desire, w in zip(budgets, without(), W):
+        r_with = r_with + np.minimum(budget, desire + w)
+    for budget, desire in zip(budgets, without()):
+        r_without = r_without + np.minimum(budget, desire)
+    return r_with, r_without
+
+
 def spend_reference(budget, items) -> list[float]:
     """Plain-Python fractional knapsack over ``(value, price, wanted)`` items:
     the fraction bought of each.  Wanted items priced within ``1e-9`` of zero

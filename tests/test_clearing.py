@@ -309,3 +309,21 @@ def test_clearabilize_keeps_lowering_when_rounding_keeps_a_buyer_over_budget(see
     assert all(q1 <= q0 for q0, q1 in zip(market.prices, result.prices))
     want = clearabilize_reference(market.prices, market.values, market.budgets)
     assert (result.prices, result.iterations, result.potentials) == want
+
+
+@pytest.mark.parametrize("c", [1.0, pytest.param(1e12, marks=pytest.mark.xfail(
+    strict=True, reason="the satisfied test's absolute 1e-9 is below one rounding of "
+    "budgets near 1e12, so a lowering can leave the potential level (seed 8)"))])
+def test_clearabilize_potential_strictly_decreases(c):
+    # posted at each dataset's highest value, where most budgets bind
+    iterations = 0
+    for seed in range(20):
+        base = gen_random(15, 8, seed)
+        inst = Instance.make([b * c for b in base.budgets],
+                             [[v * c for v in row] for row in base.values])
+        result = clearabilize(market_from_prices(
+            inst, [max(row[j] for row in inst.values) for j in range(inst.m)]))
+        trace = result.potentials
+        assert all(after < before for before, after in zip(trace, trace[1:])), seed
+        iterations += result.iterations
+    assert iterations > 100

@@ -1,6 +1,7 @@
 """The revenue kernel adds in a fixed order: items left to right, then
 buyers left to right.  These tests compare it with ``==`` against plain
-Python loops written in that order, and pin the output of
+Python loops written in that order, check continuous greedy's per-step
+estimate against its two-pass reference, and pin the output of
 ``continuous_greedy`` on two seeded instances."""
 
 import random
@@ -10,13 +11,14 @@ import pytest
 
 from datamarket.clearing import market_from_prices, per_buyer_revenue, shards_to_items
 from datamarket.fixtures import gen_random
-from datamarket.linear_opt import continuous_greedy
+from datamarket.linear_opt import _copy_weights, _sampled_marginals, continuous_greedy
 from datamarket.revenue import extension_value, left_to_right, linear_revenue, shard_revenue
 from oracle_util import (
     instance_battery,
     left_to_right_desire,
     left_to_right_revenue,
     random_shardset,
+    sampled_marginals_reference,
 )
 
 BATTERY = instance_battery(60, seed=31, n_max=8, m_max=6)
@@ -111,6 +113,40 @@ def test_clearing_per_buyer_revenue_adds_items_left_to_right():
             expected = tuple(min(b, left_to_right_desire(zip(row, mkt.prices, sizes)))
                              for b, row in zip(mkt.budgets, mkt.values))
             assert per_buyer_revenue(mkt) == expected
+
+
+def _random_selection(rng, n, m, samples):
+    """Which copy each sample picks, under fractional marginals that leave
+    some mass on no copy and one dataset never picked."""
+    y = rng.random((n, m))
+    y *= rng.uniform(0.2, 1.0, m) / y.sum(axis=0)
+    y[:, rng.integers(m)] = 0.0
+    sel = np.zeros((samples, n * m))
+    for s, uniforms in enumerate(rng.random((samples, m))):
+        for j, u in enumerate(uniforms):
+            copy = int(np.searchsorted(np.cumsum(y[:, j]), u, side="right"))
+            if copy < n:
+                sel[s, copy * m + j] = 1.0
+    return sel
+
+
+def test_sampled_marginals_equal_the_two_pass_reference():
+    rng = np.random.default_rng(37)
+    picked_differ = 0
+    for n, m in [(5, 3), (9, 4), (15, 8), (30, 12), (60, 30)]:
+        for budget_scale in (0.25, 1.0, 4.0, 16.0):
+            inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
+            W = _copy_weights(inst)
+            sel = _random_selection(rng, n, m, samples=16)
+            r_with, r_without = _sampled_marginals(inst.budgets, W, sel)
+            want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
+            assert np.array_equal(r_with, want_with)
+            assert np.array_equal(r_without, want_without)
+            # the sample's own revenue is not what the picked copies give back
+            own = np.array([left_to_right_revenue(inst.budgets, load) for load in sel @ W.T])
+            samples, copies = np.nonzero(sel)
+            picked_differ += np.count_nonzero(want_with[samples, copies] != own[samples])
+    assert picked_differ > 0
 
 
 @pytest.mark.parametrize("args, kwargs, prices, partition, revenue", [

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from datamarket import linear_opt
 from datamarket.fixtures import (
     gen_greedy_suboptimal,
     gen_greedy_tight,
@@ -19,7 +20,7 @@ from datamarket.linear_opt import (
 )
 from datamarket.model import Instance
 from datamarket.revenue import linear_revenue
-from oracle_util import exhaustive_linear_revenue, instance_battery
+from oracle_util import exhaustive_linear_revenue, instance_battery, sampled_marginals_reference
 
 EPS = 0.001
 
@@ -140,6 +141,30 @@ def test_continuous_greedy_reproducible():
     a = continuous_greedy(inst, seed=21)
     b = continuous_greedy(inst, seed=21)
     assert a == b
+
+
+def test_continuous_greedy_matches_the_two_pass_estimate(monkeypatch):
+    cases = [(gen_random(n, m, seed, budget_scale=b), seed)
+             for n, m, seed, b in [(6, 4, 3, 1.0), (12, 5, 7, 0.25), (20, 8, 2, 16.0)]]
+    got = [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
+           for inst, seed in cases]
+    monkeypatch.setattr(linear_opt, "_sampled_marginals", sampled_marginals_reference)
+    assert got == [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
+                   for inst, seed in cases]
+
+
+def test_continuous_greedy_reports_each_step():
+    inst = gen_random(12, 5, 7, 1.0, 0.5)
+    sol = continuous_greedy(inst, steps=20, samples=32, roundings=16, seed=11)
+    marginals, spreads = sol.diagnostics["step_marginal"], sol.diagnostics["step_max_std"]
+    assert len(marginals) == len(spreads) == 20
+    # adding a copy never lowers revenue, and the first step starts from no copy
+    assert min(marginals) >= 0.0 and min(spreads) >= 0.0
+    assert spreads[0] == 0.0
+    assert marginals[0] > 0.0
+    assert linear_opt.linear_solution_to_dict(sol) == {
+        "prices": list(sol.prices), "assignment": list(sol.partition),
+        "revenue": sol.revenue, "method": "cgreedy"}
 
 
 def test_continuous_greedy_rejects_bad_parameters():
