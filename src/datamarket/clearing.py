@@ -25,9 +25,13 @@ her desire a rounding over budget and every count as it was, so the
 potential stays level for that iteration; the price still falls, and the
 loop raises ``RuntimeError`` if it exceeds the bound.
 
-It scans the market once; after each lowering it rescans only that item's
-column and the desires of the buyers who want it, which gives the same bits
-as a full rescan, since no other buyer's wanted prices moved.
+It scans the market once and keeps each buyer's wanted prices as a matrix;
+after each lowering it rewrites only that item's column and re-adds the
+desires of the buyers who wanted it before or want it now, which gives the
+same bits as a full rescan, since no other buyer's wanted prices moved.
+
+``clearing_allocation`` spends the budgets of all over-budget buyers in one
+``demand.take`` call, one buyer a row.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 
 from .demand import take
 from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet
-from .revenue import desires, interested, revenue, shard_items, value_array
+from .revenue import desires, interested, left_to_right, revenue, shard_items, value_array
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,8 @@ class ItemMarket:
         """The prices as an array, who wants which item at them, and desires."""
         values, _, sizes = self.arrays
         q = np.asarray(self.prices if prices is None else prices, dtype=float)
+        if q.shape != (self.num_items,):
+            raise ValueError(f"got {q.size} prices for {self.num_items} items")
         wants = interested(values, q, sizes)
         return q, wants, desires(wants, q)
 
@@ -147,6 +153,7 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     """
     values, budgets, sizes = mkt.arrays
     q, wants, desire_ = mkt.scan()  # a fresh price array, lowered in place
+    paid = np.where(wants, q, 0.0)  # each buyer's wanted prices, kept with q and wants
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     potentials = []
     iterations = 0
@@ -161,9 +168,9 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
         if constrained_interested.any():
             # what each such buyer has left after her other wanted items
             budget = budgets[constrained_interested]
-            others = wants[constrained_interested]
-            others[:, j] = False
-            left = budget - desires(others, q)
+            others = paid[constrained_interested]
+            others[:, j] = 0.0
+            left = budget - left_to_right(others)
             if left.max() >= q[j]:
                 # rounding at large money: that buyer's excess comes off instead
                 left = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
@@ -175,7 +182,8 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
         column = interested(values[:, j], q[j], None if sizes is None else sizes[j])
         moved = column | wants[:, j]
         wants[:, j] = column
-        desire_[moved] = desires(wants[moved], q)
+        paid[:, j] = np.where(column, q[j], 0.0)
+        desire_[moved] = left_to_right(paid[moved])
         iterations += 1
 
 
@@ -187,17 +195,17 @@ def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
     owned by its lowest-index satisfied interested buyer.  A buyer is
     satisfied when her desire fits her budget within tolerance; every other
     buyer spends her whole budget by ``demand.take``, the spend rule
-    ``optimal_demand`` uses too.  Zero-priced items go to everyone.
+    ``optimal_demand`` uses too, in one call for all of them.  Zero-priced
+    items go to everyone.
     """
     q, wants, desire_ = mkt.scan(prices)
     if _violating_item(mkt, q, wants, desire_) is not None:
         raise ValueError("prices are not clearable")
     values, budgets, _ = mkt.arrays
+    constrained = ~(desire_ <= budgets + TOLERANCE)
+    fractions = np.where(wants, 1.0, 0.0)
+    fractions[constrained] = take(budgets[constrained], values[constrained], q,
+                                  wants[constrained])
     payments = np.minimum(budgets, desire_).tolist()
-    bundles = []
-    for i in range(mkt.num_buyers):
-        satisfied = desire_[i] <= budgets[i] + TOLERANCE
-        fractions = (np.where(wants[i], 1.0, 0.0) if satisfied
-                     else take(budgets[i], values[i], q, wants[i]))
-        bundles.append(Bundle(tuple(fractions.tolist()), payments[i]))
-    return Allocation(tuple(bundles), float(revenue(budgets, desire_)))
+    bundles = tuple(Bundle(tuple(row), pay) for row, pay in zip(fractions.tolist(), payments))
+    return Allocation(bundles, float(revenue(budgets, desire_)))

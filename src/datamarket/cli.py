@@ -85,7 +85,10 @@ def _cmd_solve_linear(args) -> int:
             inst, steps=args.steps, samples=args.samples, roundings=args.roundings,
             seed=args.seed,
         )
-    _emit(linear_opt.linear_solution_to_dict(sol))
+    doc = linear_opt.linear_solution_to_dict(sol)
+    if args.stats:
+        doc["stats"] = sol.diagnostics
+    _emit(doc)
     return 0
 
 
@@ -238,6 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--roundings", type=int, default=32)
+    p.add_argument("--stats", action="store_true",
+                   help="include the method's diagnostics (cgreedy: each step's marginal and spread)")
     p.set_defaults(func=_cmd_solve_linear)
 
     p = sub.add_parser("demand", help="one buyer's optimal bundle under given pricing")

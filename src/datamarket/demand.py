@@ -1,8 +1,11 @@
 """Buyer-side computations under per-dataset pricing curves.
 
-``optimal_demand`` computes a buyer's utility-maximizing bundle under shard
-pricing, spending a binding budget by ``take``, the one fractional-knapsack
-rule that ``clearing.clearing_allocation`` uses too.  ``rate_threshold``
+``optimal_demand`` gives a buyer's utility-maximizing bundle under shard
+pricing.  It computes every buyer's bundle in one pass over the market and
+keeps them for the last instance and ShardSet, so a loop over the buyers
+costs one pass.  Budgets that bind are spent by one ``take`` call, the one
+fractional-knapsack rule, which spends for many buyers at once, one a row;
+``clearing.clearing_allocation`` calls it the same way.  ``rate_threshold``
 finds the largest prefix of a dataset whose marginal price stays within a
 buyer's per-unit value, and ``convexify``/``piecewise_linearize`` are the two
 revenue-safe curve transforms: lower convex envelope and slope
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Bundle, Instance, ShardCurve, ShardSet, ValidationError
-from .revenue import desires, interested, left_to_right, shard_items
+from .revenue import desires, interested, left_to_right, shard_items, value_array
 
 
 @dataclass(frozen=True)
@@ -73,25 +76,53 @@ def rate_threshold(curve: ShardCurve, beta: float) -> float:
     return 1.0
 
 
-def take(budget: float, values, prices, wants) -> np.ndarray:
+def take(budgets, values, prices, wants) -> np.ndarray:
     """Fractional-knapsack spend over items: the fraction bought of each.
 
-    Wanted free items (price within tolerance of zero) come whole.  The
-    budget then buys the other wanted items in decreasing order of surplus
-    per unit of money, ``(value - price) / price``, ties in item order, each
-    whole while the budget lasts and the last one in part.
+    Buyers run along the leading axes, one per row, and items along the
+    last; the arguments broadcast together, so a 1-D call is one buyer.
+    Wanted free items (price within tolerance of zero) come whole.  Each
+    budget then buys the row's other wanted items in decreasing order of
+    surplus per unit of money, ``(value - price) / price``, ties in item
+    order, each whole while the budget lasts and the last one in part.
+    ``np.subtract.accumulate`` runs the budget down in that order, strictly
+    in sequence, so the money left before each item has the same bits as
+    spending one item at a time.
     """
-    fractions = np.where(wants & (prices <= TOLERANCE), 1.0, 0.0)
-    priced = np.flatnonzero(wants & (prices > TOLERANCE))
-    order = priced[np.argsort(-(values[priced] - prices[priced]) / prices[priced], kind="stable")]
-    remaining = budget
-    for k in order.tolist():
-        if remaining <= 0:
-            break
-        paid = min(prices[k], remaining)
-        fractions[k] = paid / prices[k]
-        remaining -= paid
-    return fractions
+    budgets = np.asarray(budgets, dtype=float)
+    values, prices, wants = np.broadcast_arrays(values, prices, wants)
+    priced = wants & (prices > TOLERANCE)
+    # unwanted and free items sort last and pay nothing
+    ratio = np.divide(-(values - prices), prices, out=np.full(prices.shape, np.inf), where=priced)
+    order = np.argsort(ratio, axis=-1, kind="stable")
+    cost = np.take_along_axis(np.where(priced, prices, 0.0), order, axis=-1)
+    left = np.subtract.accumulate(np.concatenate([budgets[..., None], cost], axis=-1),
+                                  axis=-1)[..., :-1]
+    spent = np.divide(np.minimum(cost, left), cost, out=np.zeros(cost.shape),
+                      where=(left > 0) & (cost > 0))
+    fractions = np.empty(spent.shape)
+    np.put_along_axis(fractions, order, spent, axis=-1)
+    return np.where(wants & (prices <= TOLERANCE), 1.0, fractions)
+
+
+def _market_demand(inst: Instance, shards: ShardSet) -> tuple[Bundle, ...]:
+    """Every buyer's optimal bundle under shard pricing, as ``optimal_demand``
+    gives it one at a time: one pass over the market and one ``take`` for
+    the buyers whose budget binds."""
+    budgets = np.array(inst.budgets, dtype=float)
+    values, prices, sizes = shard_items(value_array(inst), shards)
+    wants = interested(values, prices, sizes)
+    total_cost = left_to_right(desires(wants, prices))
+    bound = budgets < total_cost
+    rows = np.count_nonzero(bound)
+    fractions = np.where(wants, sizes, 0.0)
+    spent = take(budgets[bound], values[bound].reshape(rows, prices.size), prices.ravel(),
+                 wants[bound].reshape(rows, prices.size))
+    fractions[bound] = spent.reshape((rows,) + sizes.shape) * sizes
+    payments = [b if binds else cost
+                for b, binds, cost in zip(inst.budgets, bound.tolist(), total_cost.tolist())]
+    return tuple(Bundle(tuple(row), pay)
+                 for row, pay in zip(left_to_right(fractions).tolist(), payments))
 
 
 def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
@@ -106,17 +137,29 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     unit of money, ``(value - price) / price``, fractionally at the margin.
     A shard whose surplus lies within the tolerance of zero is ranked by that
     ratio like any other; only exact ties go in dataset then shard order.
+
+    Every buyer's bundle comes from one ``_market_demand`` pass, kept for the
+    last instance and ShardSet (found by identity) when neither can change:
+    a tuple ShardSet, and an instance whose budgets and rows are tuples.
+    Other inputs are read again on every call, for buyer ``i`` alone.
     """
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
-    budget = inst.budgets[i]
-    values, prices, sizes = shard_items(inst.values[i], shards)
-    wants = interested(values, prices, sizes)
-    total_cost = float(left_to_right(desires(wants, prices)))
-    if budget >= total_cost:
-        return Bundle(tuple(left_to_right(np.where(wants, sizes, 0.0)).tolist()), total_cost)
-    fractions = take(budget, values.ravel(), prices.ravel(), wants.ravel())
-    return Bundle(tuple(left_to_right(fractions.reshape(sizes.shape) * sizes).tolist()), budget)
+    global _last_demand
+    last_inst, last_shards, bundles = _last_demand  # one read, so key and bundles stay a set
+    if inst is last_inst and shards is last_shards:
+        return bundles[i]
+    if not (type(shards) is tuple and type(inst.budgets) is tuple
+            and type(inst.values) is tuple and all(type(row) is tuple for row in inst.values)):
+        return _market_demand(Instance(inst.budgets[i:i + 1], inst.values[i:i + 1]), shards)[0]
+    bundles = _market_demand(inst, shards)
+    _last_demand = inst, shards, bundles
+    return bundles[i]
+
+
+#: The last instance and tuple ShardSet ``optimal_demand`` read, with every
+#: buyer's bundle under them.
+_last_demand: tuple = (None, None, None)
 
 
 def convexify(curve: PiecewiseCurve) -> ShardCurve:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from datamarket.fixtures import gen_random
-from datamarket.model import Instance, ShardCurve
+from datamarket.model import Bundle, Instance, ShardCurve
 
 
 def grid_demand_payment(price_of, value: float, budget: float, step: float = 1e-3) -> float:
@@ -239,6 +239,38 @@ def spend_reference(budget, items) -> list[float]:
         fractions[k] = paid / items[k][1]
         remaining -= paid
     return fractions
+
+
+def take_reference(budget, values, prices, wants) -> np.ndarray:
+    """One buyer's fractional-knapsack spend, one item at a time: the loop
+    that ``demand.take`` runs for many buyers at once, kept as it was."""
+    fractions = np.where(wants & (prices <= 1e-9), 1.0, 0.0)
+    priced = np.flatnonzero(wants & (prices > 1e-9))
+    order = priced[np.argsort(-(values[priced] - prices[priced]) / prices[priced], kind="stable")]
+    remaining = budget
+    for k in order.tolist():
+        if remaining <= 0:
+            break
+        paid = min(prices[k], remaining)
+        fractions[k] = paid / prices[k]
+        remaining -= paid
+    return fractions
+
+
+def optimal_demand_reference(inst: Instance, i: int, shards) -> Bundle:
+    """One buyer's optimal bundle under shard pricing, built for her alone and
+    spent by ``take_reference``: what ``demand.optimal_demand`` computes for
+    every buyer in one pass, kept as it was."""
+    from datamarket.revenue import desires, interested, left_to_right, shard_items
+
+    budget = inst.budgets[i]
+    values, prices, sizes = shard_items(inst.values[i], shards)
+    wants = interested(values, prices, sizes)
+    total_cost = float(left_to_right(desires(wants, prices)))
+    if budget >= total_cost:
+        return Bundle(tuple(left_to_right(np.where(wants, sizes, 0.0)).tolist()), total_cost)
+    fractions = take_reference(budget, values.ravel(), prices.ravel(), wants.ravel())
+    return Bundle(tuple(left_to_right(fractions.reshape(sizes.shape) * sizes).tolist()), budget)
 
 
 def demand_reference(inst: Instance, i: int, shards) -> tuple[float, ...]:

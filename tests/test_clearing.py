@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from datamarket.clearing import (
@@ -327,3 +328,14 @@ def test_clearabilize_potential_strictly_decreases(c):
         assert all(after < before for before, after in zip(trace, trace[1:])), seed
         iterations += result.iterations
     assert iterations > 100
+
+
+@pytest.mark.parametrize("prices", [[0.1], [0.1, 0.2], [0.1] * 4, 0.1])
+@pytest.mark.parametrize("call", [
+    lambda mkt, prices: desire(mkt, 0, prices),
+    per_buyer_revenue, is_clearable, potential, clearing_allocation,
+])
+def test_scans_reject_a_price_vector_of_the_wrong_length(call, prices):
+    mkt = market_from_prices(gen_random(4, 3, seed=2), (0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match=f"got {np.size(prices)} prices for 3 items"):
+        call(mkt, prices)

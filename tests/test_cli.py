@@ -128,6 +128,29 @@ def test_solve_plc_stats_are_opt_in(capsys, suboptimal_path, tmp_path):
     assert {"phase1_pivots", "phase2_pivots", "degenerate_pivots"} <= stats.keys()
 
 
+@pytest.mark.parametrize("method, extra, keys", [
+    ("exact", [], {"grid_points"}),
+    ("greedy", ["--order", "2,0,1"], {"order"}),
+    ("rgreedy", ["--seed", "3"], {"seed"}),
+    ("cgreedy", ["--steps", "4", "--samples", "8", "--roundings", "4"],
+     {"steps", "samples", "roundings", "seed", "step_marginal", "step_max_std"}),
+])
+def test_solve_linear_stats_are_opt_in(capsys, suboptimal_path, method, extra, keys):
+    argv = ["solve-linear", "--instance", suboptimal_path, "--method", method] + extra
+    _, plain = run(capsys, argv)
+    code, out = run(capsys, argv + ["--stats"])
+    assert code == 0
+    doc = json.loads(out)
+    stats = doc.pop("stats")
+    assert "stats" not in json.loads(plain)
+    assert json.dumps(doc, sort_keys=True) + "\n" == plain  # nothing else moves
+    assert stats.keys() == keys
+    if method == "greedy":
+        assert stats["order"] == [2, 0, 1]
+    if method == "cgreedy":
+        assert len(stats["step_marginal"]) == len(stats["step_max_std"]) == 4
+
+
 def test_clear_stats_are_opt_in(capsys, tmp_path):
     inst_path = tmp_path / "inst.json"
     save_instance(gen_nonsub(0.001), inst_path)

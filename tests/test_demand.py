@@ -235,3 +235,42 @@ def test_spend_ranks_near_zero_surplus_by_ratio():
     fractions = take(0.5, np.array([1.0, 1.0]), np.array([1.0, 1.0 - 5e-10]),
                      np.array([True, True]))
     assert fractions.tolist() == [0.0, 0.5 / (1.0 - 5e-10)]
+
+
+def test_optimal_demand_reads_a_list_shardset_again_after_it_changes():
+    inst = Instance.make([1.0, 4.0], [[2.0, 1.0], [3.0, 2.0]])
+    shards = [ShardCurve(((1.0, 1.0),)), ShardCurve(((1.0, 1.0),))]
+    first = [optimal_demand(inst, i, shards) for i in range(inst.n)]
+    assert first[0].fractions == (1.0, 0.0) and first[1].fractions == (1.0, 1.0)
+    shards[0] = ShardCurve(((1.0, 2.5),))  # buyer 0 stops wanting dataset 0
+    assert optimal_demand(inst, 0, shards).fractions == (0.0, 1.0)
+    assert optimal_demand(inst, 1, shards).fractions == (1.0, 1.0)
+    assert optimal_demand(inst, 1, shards).payment == 3.5
+
+
+def test_optimal_demand_reads_list_rows_again_after_they_change():
+    values = [[2.0, 1.0]]
+    inst = Instance([1.0], values)  # unvalidated, and its rows can change
+    shards = (ShardCurve(((1.0, 1.0),)), ShardCurve(((1.0, 1.0),)))
+    assert optimal_demand(inst, 0, shards).fractions == (1.0, 0.0)
+    values[0][0] = 0.5
+    assert optimal_demand(inst, 0, shards).fractions == (0.0, 1.0)
+
+
+def test_optimal_demand_keeps_two_instances_apart():
+    a, b = gen_random(6, 3, seed=1, budget_scale=0.25), gen_random(6, 3, seed=2, budget_scale=0.25)
+    shards = tuple(ShardCurve.from_pairs([(0.5, 0.2), (0.5, 0.6)]) for _ in range(3))
+    alone = {id(inst): [optimal_demand(inst, i, shards) for i in range(inst.n)] for inst in (a, b)}
+    for i in range(6):
+        for inst in (a, b):
+            assert optimal_demand(inst, i, shards) == alone[id(inst)][i]
+    assert alone[id(a)] != alone[id(b)]
+
+
+@pytest.mark.parametrize("buyer", [-1, 3])
+def test_optimal_demand_checks_the_buyer_before_the_kept_bundles(buyer):
+    inst = gen_random(3, 2, seed=4)
+    shards = tuple(ShardCurve(((1.0, 0.3),)) for _ in range(2))
+    optimal_demand(inst, 0, shards)  # keeps every buyer's bundle
+    with pytest.raises(IndexError, match=f"buyer index {buyer} out of range for n=3"):
+        optimal_demand(inst, buyer, shards)

@@ -1,8 +1,9 @@
 """The revenue kernel adds in a fixed order: items left to right, then
 buyers left to right.  These tests compare it with ``==`` against plain
 Python loops written in that order, check continuous greedy's per-step
-estimate against its two-pass reference, and pin the output of
-``continuous_greedy`` on two seeded instances."""
+estimate against its two-pass reference, check the many-buyer spend and
+every buyer's demand against their one-buyer references bit for bit, and
+pin the output of ``continuous_greedy`` on two seeded instances."""
 
 import random
 
@@ -10,15 +11,20 @@ import numpy as np
 import pytest
 
 from datamarket.clearing import market_from_prices, per_buyer_revenue, shards_to_items
+from datamarket.demand import optimal_demand, take
 from datamarket.fixtures import gen_random
 from datamarket.linear_opt import _copy_weights, _sampled_marginals, continuous_greedy
+from datamarket.model import partition_prices, prices_to_shardset
+from datamarket.plc_opt import solve_plc
 from datamarket.revenue import extension_value, left_to_right, linear_revenue, shard_revenue
 from oracle_util import (
     instance_battery,
     left_to_right_desire,
     left_to_right_revenue,
+    optimal_demand_reference,
     random_shardset,
     sampled_marginals_reference,
+    take_reference,
 )
 
 BATTERY = instance_battery(60, seed=31, n_max=8, m_max=6)
@@ -147,6 +153,72 @@ def test_sampled_marginals_equal_the_two_pass_reference():
             samples, copies = np.nonzero(sel)
             picked_differ += np.count_nonzero(want_with[samples, copies] != own[samples])
     assert picked_differ > 0
+
+
+def _spend_rows(rng, rows, items):
+    """Buyers for ``take``: random rows, then rows with free items, exact ties
+    in surplus per unit of money, nothing wanted, a zero budget, and budgets
+    equal to the sum of their first ``k`` prices in spend order."""
+    values = rng.uniform(0.0, 2.0, (rows, items))
+    prices = rng.uniform(0.0, 2.0, (rows, items))
+    wants = rng.random((rows, items)) < 0.7
+    budgets = rng.uniform(0.0, 1.5, rows) * items
+    prices[1::7, :3] = [0.0, 1e-10, 1e-9]  # free, within the tolerance of zero
+    prices[2::7], values[2::7] = 0.5, 0.75  # every priced item ties
+    prices[3::7, 1::2] = 2.0 * prices[3::7, ::2]  # pairs of items tie (``items`` is even)
+    values[3::7, 1::2] = 2.0 * values[3::7, ::2]
+    wants[4::7] = False
+    budgets[5::7] = 0.0
+    for r in range(6, rows, 7):
+        order = np.flatnonzero(take_reference(np.inf, values[r], prices[r], wants[r]))
+        ratio = -(values[r, order] - prices[r, order]) / prices[r, order]
+        paid = prices[r, order[np.argsort(ratio, kind="stable")]]
+        budgets[r] = left_to_right(paid[:rng.integers(paid.size + 1)])
+    return budgets, values, prices, wants
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_take_spends_each_row_as_the_one_buyer_loop(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 40)
+    budgets, values, prices, wants = (x * scale if x.dtype == float else x
+                                      for x in _spend_rows(rng, 70, 12))
+    want = np.array([take_reference(*row) for row in zip(budgets, values, prices, wants)])
+    _assert_same_bits(take(budgets, values, prices, wants), want)
+    # one buyer as a 1-D call, and many buyers under one shared price row
+    _assert_same_bits(take(budgets[6], values[6], prices[6], wants[6]), want[6])
+    shared = np.array([take_reference(b, v, prices[0], w)
+                       for b, v, w in zip(budgets, values, wants)])
+    _assert_same_bits(take(budgets, values, prices[0], wants), shared)
+
+
+def test_take_spends_an_infinite_budget_on_everything_wanted():
+    rng = np.random.default_rng(41)
+    _, values, prices, wants = _spend_rows(rng, 14, 10)
+    budgets = np.full(14, np.inf)
+    want = np.array([take_reference(*row) for row in zip(budgets, values, prices, wants)])
+    _assert_same_bits(take(budgets, values, prices, wants), want)
+    assert np.array_equal(want, np.where(wants, 1.0, 0.0))
+
+
+def _demand_battery(seed):
+    rng = random.Random(seed)
+    for n, m in ((5, 3), (15, 8), (30, 15), (60, 30)):
+        for budget_scale in (0.25, 1.0, 4.0, 16.0):
+            inst = gen_random(n, m, rng.randrange(10**6), budget_scale=budget_scale)
+            yield inst, solve_plc(inst).shards
+            part = [rng.randrange(n) for _ in range(m)]
+            yield inst, prices_to_shardset(partition_prices(inst, part))
+
+
+def test_optimal_demand_equals_the_one_buyer_reference():
+    bound = 0
+    for inst, shards in _demand_battery(43):
+        for i in range(inst.n):
+            got, want = optimal_demand(inst, i, shards), optimal_demand_reference(inst, i, shards)
+            _assert_same_bits(got.fractions, want.fractions)
+            _assert_same_bits(got.payment, want.payment)
+            bound += want.payment == inst.budgets[i] < float("inf")
+    assert bound > 200  # the battery must exercise the budget-bound spend
 
 
 @pytest.mark.parametrize("args, kwargs, prices, partition, revenue", [
