@@ -170,7 +170,7 @@ def _spend_rows(rng, rows, items):
     wants[4::7] = False
     budgets[5::7] = 0.0
     for r in range(6, rows, 7):
-        order = np.flatnonzero(take_reference(np.inf, values[r], prices[r], wants[r]))
+        order = np.flatnonzero(wants[r] & (prices[r] > 1e-9))
         ratio = -(values[r, order] - prices[r, order]) / prices[r, order]
         paid = prices[r, order[np.argsort(ratio, kind="stable")]]
         budgets[r] = left_to_right(paid[:rng.integers(paid.size + 1)])
