@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--roundings", type=int, default=32)
     p.add_argument("--stats", action="store_true",
-                   help="include the method's diagnostics (cgreedy: each step's marginal and spread)")
+                   help="include the method's diagnostics (cgreedy: each step's marginal)")
     p.set_defaults(func=_cmd_solve_linear)
 
     p = sub.add_parser("demand", help="one buyer's optimal bundle under given pricing")

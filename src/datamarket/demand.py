@@ -93,20 +93,16 @@ def take(budgets, values, prices, wants) -> np.ndarray:
     values, prices, wants = np.broadcast_arrays(values, prices, wants)
     priced = wants & (prices > TOLERANCE)
     # unwanted and free items sort last and pay nothing
-    order = np.argsort(np.divide(-(values - prices), prices, out=np.full(prices.shape, np.inf),
-                                 where=priced), axis=-1, kind="stable")
+    ratio = np.divide(-(values - prices), prices, out=np.full(prices.shape, np.inf), where=priced)
+    order = np.argsort(ratio, axis=-1, kind="stable")
     cost = np.take_along_axis(np.where(priced, prices, 0.0), order, axis=-1)
-    # the money left before each item, then the fraction of it bought, in place
-    spent = np.concatenate([budgets[..., None], cost], axis=-1)
-    np.subtract.accumulate(spent, axis=-1, out=spent)
-    spent = spent[..., :-1]
-    paying = (spent > 0) & (cost > 0)
-    np.minimum(cost, spent, out=spent)
-    np.divide(spent, cost, out=spent, where=paying)
-    spent[~paying] = 0.0
-    np.put_along_axis(cost, order, spent, axis=-1)  # the fractions, back in item order
-    cost[wants & (prices <= TOLERANCE)] = 1.0
-    return cost
+    left = np.subtract.accumulate(np.concatenate([budgets[..., None], cost], axis=-1),
+                                  axis=-1)[..., :-1]
+    spent = np.divide(np.minimum(cost, left), cost, out=np.zeros(cost.shape),
+                      where=(left > 0) & (cost > 0))
+    fractions = np.empty(spent.shape)
+    np.put_along_axis(fractions, order, spent, axis=-1)
+    return np.where(wants & (prices <= TOLERANCE), 1.0, fractions)
 
 
 def _market_demand(inst: Instance, shards: ShardSet) -> tuple[Bundle, ...]:
@@ -119,9 +115,9 @@ def _market_demand(inst: Instance, shards: ShardSet) -> tuple[Bundle, ...]:
     total_cost = left_to_right(desires(wants, prices))
     bound = budgets < total_cost
     rows = np.count_nonzero(bound)
+    fractions = np.where(wants, sizes, 0.0)
     spent = take(budgets[bound], values[bound].reshape(rows, prices.size), prices.ravel(),
                  wants[bound].reshape(rows, prices.size))
-    fractions = np.where(wants, sizes, 0.0)
     fractions[bound] = spent.reshape((rows,) + sizes.shape) * sizes
     payments = [b if binds else cost
                 for b, binds, cost in zip(inst.budgets, bound.tolist(), total_cost.tolist())]
@@ -150,7 +146,7 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
     global _last_demand
-    last_inst, last_shards, bundles = _last_demand  # one read, so the key and the bundles stay together
+    last_inst, last_shards, bundles = _last_demand  # one read: the key and bundles stay a pair
     if inst is last_inst and shards is last_shards:
         return bundles[i]
     if not (type(shards) is tuple and type(inst.budgets) is tuple
