@@ -51,7 +51,7 @@ class ItemMarket:
     """Linear-priced items with per-buyer item values and buyer budgets.
 
     ``sizes`` holds each item's fraction of its dataset (``None``: whole
-    datasets).  The arrays the kernel reads are built on first use.
+    datasets, size 1).  The arrays the kernel reads are built on first use.
     """
 
     prices: tuple[float, ...]
@@ -69,10 +69,10 @@ class ItemMarket:
         return len(self.budgets)
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(values, budgets, sizes)`` as numpy arrays."""
         values = np.array(self.values, dtype=float).reshape(self.num_buyers, self.num_items)
-        sizes = None if self.sizes is None else np.array(self.sizes, dtype=float)
+        sizes = np.array(self.sizes or (1.0,) * self.num_items, dtype=float)
         return values, np.array(self.budgets, dtype=float), sizes
 
     def scan(self, prices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,7 +179,7 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
             q[j] = 0.0
         # only item j's price moved: rescan its column, and the desires of the
         # buyers who wanted it before or want it now
-        column = interested(values[:, j], q[j], None if sizes is None else sizes[j])
+        column = interested(values[:, j], q[j], sizes[j])
         moved = column | wants[:, j]
         wants[:, j] = column
         paid[:, j] = np.where(column, q[j], 0.0)

@@ -138,10 +138,13 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     A shard whose surplus lies within the tolerance of zero is ranked by that
     ratio like any other; only exact ties go in dataset then shard order.
 
-    Every buyer's bundle comes from one ``_market_demand`` pass, kept for the
-    last instance and ShardSet (found by identity) when neither can change:
-    a tuple ShardSet, and an instance whose budgets and rows are tuples.
-    Other inputs are read again on every call, for buyer ``i`` alone.
+    Every call that misses computes every buyer's bundle in one
+    ``_market_demand`` pass.  The library's one memo keeps them for the last
+    instance and ShardSet (found by identity) when neither can change: a
+    tuple ShardSet, and an instance whose budgets and rows are tuples.  So a
+    loop over the buyers under one pricing, such as
+    ``plc_opt.extract_allocation`` or any per-buyer caller, costs one pass;
+    other inputs are read again on every call.
     """
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
@@ -149,11 +152,10 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     last_inst, last_shards, bundles = _last_demand  # one read: the key and bundles stay a pair
     if inst is last_inst and shards is last_shards:
         return bundles[i]
-    if not (type(shards) is tuple and type(inst.budgets) is tuple
-            and type(inst.values) is tuple and all(type(row) is tuple for row in inst.values)):
-        return _market_demand(Instance(inst.budgets[i:i + 1], inst.values[i:i + 1]), shards)[0]
     bundles = _market_demand(inst, shards)
-    _last_demand = inst, shards, bundles
+    if (type(shards) is tuple and type(inst.budgets) is tuple
+            and type(inst.values) is tuple and all(type(row) is tuple for row in inst.values)):
+        _last_demand = inst, shards, bundles
     return bundles[i]
 
 

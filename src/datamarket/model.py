@@ -231,7 +231,7 @@ def _read_json(path, keys, shape: str, not_arrays: str | None = None) -> list:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(key in doc for key in keys):
         raise FormatError(shape)

@@ -15,7 +15,6 @@ column at a time, which add in the same sequence and give the same bits.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -28,15 +27,14 @@ from .model import TOLERANCE, Instance, Partition, ShardSet, partition_prices
 CopySet = Iterable[tuple[int, int]]
 
 
-def interested(values, prices, sizes=None) -> np.ndarray:
+def interested(values, prices, sizes=1.0) -> np.ndarray:
     """Which items each buyer wants; the arguments broadcast together.
 
     An item of size ``z`` is valued and priced at ``z`` times a per-unit
-    value and price, so its tolerance is ``z`` times the global one;
-    ``sizes=None`` means whole datasets.
+    value and price, so its tolerance is ``z`` times the global one; a whole
+    dataset has size 1.
     """
-    tolerance = TOLERANCE if sizes is None else TOLERANCE * sizes
-    return values >= prices - tolerance
+    return values >= prices - TOLERANCE * sizes
 
 
 #: Sums of at most this many rows use ``np.add.accumulate``, taller ones the
@@ -85,36 +83,19 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     """Every shard as an item for buyers with per-unit ``values`` (``... x
     m``): the items' values (``... x m x T``), prices (slope times size) and
     sizes (``m x T``).  Curves with fewer shards are padded with empty ones
-    at an infinite price, which nobody wants."""
+    at an infinite price, which nobody wants.  The ``m x T`` grid is built
+    on every call; the per-buyer loops, ``plc_opt.extract_allocation`` and
+    other callers of ``demand.optimal_demand``, build it once per market
+    through that function's memo, the library's one cache."""
     values = np.asarray(values, dtype=float)
     if len(shards) != values.shape[-1]:
         raise ValueError(f"got {len(shards)} curves for {values.shape[-1]} datasets")
-    global _last_grid
-    last, grid = _last_grid  # one read, so the key and the arrays stay a pair
-    if shards is not last:
-        grid = _shard_grid(tuple(shards))
-        if type(shards) is tuple:  # a tuple of frozen curves cannot change; a list can
-            _last_grid = shards, grid
-    prices, sizes = grid
-    return values[..., None] * sizes, prices, sizes
-
-
-#: The last tuple ShardSet read and its arrays: found by identity, which
-#: saves hashing every curve for the ``lru_cache`` on repeated reads.
-_last_grid: tuple = (None, None)
-
-
-@lru_cache(maxsize=8)
-def _shard_grid(shards: ShardSet) -> tuple[np.ndarray, np.ndarray]:
-    """The shards' prices and sizes (``m x T``), read-only, built once per
-    ShardSet: every buyer's bundle under one pricing reads the same arrays."""
     width = max(len(curve.shards) for curve in shards)
     grid = np.array([curve.shards + ((0.0, 0.0),) * (width - len(curve.shards))
                      for curve in shards])
     sizes = grid[..., 0]
     prices = np.where(sizes > 0, grid[..., 1] * sizes, math.inf)
-    sizes.flags.writeable = prices.flags.writeable = False
-    return prices, sizes
+    return values[..., None] * sizes, prices, sizes
 
 
 def shard_desires(values, shards: ShardSet) -> np.ndarray:

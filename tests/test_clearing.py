@@ -339,3 +339,9 @@ def test_scans_reject_a_price_vector_of_the_wrong_length(call, prices):
     mkt = market_from_prices(gen_random(4, 3, seed=2), (0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match=f"got {np.size(prices)} prices for 3 items"):
         call(mkt, prices)
+
+
+@pytest.mark.parametrize("prices", [(0.5, 0.5), (0.5,) * 4])
+def test_market_from_prices_rejects_the_wrong_number_of_prices(prices):
+    with pytest.raises(ValueError, match=f"got {len(prices)} prices for 3 datasets"):
+        market_from_prices(gen_random(4, 3, seed=2), prices)

@@ -267,3 +267,53 @@ def test_invalid_instance_exits_1(capsys, tmp_path):
     path.write_text(json.dumps({"budgets": [1, 1], "values": [[1.0]]}))
     assert main(["solve-plc", "--instance", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_demand_rejects_a_buyer_out_of_range(capsys, tmp_path):
+    inst_path = tmp_path / "inst.json"
+    save_instance(gen_lingap(3, 0.1), inst_path)
+    price_path = tmp_path / "prices.json"
+    save_prices((1.0,), price_path)
+    code = main(["demand", "--instance", str(inst_path), "--prices", str(price_path),
+                 "--buyer", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: buyer index 5 out of range for n=3\n"
+
+
+def test_gen_vertex_cover_reads_an_edge_list(capsys, tmp_path):
+    out_path = tmp_path / "vc.json"
+    code, out = run(capsys, ["gen", "--family", "vc", "--params", "edges=0-1|1-2|2-3",
+                             "--out", str(out_path)])
+    assert code == 0
+    assert json.loads(out)["m"] == 4
+    assert len(json.loads(out_path.read_text())["values"][0]) == 4
+
+
+def test_gen_rejects_a_parameter_without_a_value(capsys, tmp_path):
+    out_path = tmp_path / "generated.json"
+    code = main(["gen", "--family", "lingap", "--params", "n=3,eps", "--out", str(out_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed parameter 'eps', expected key=value\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["solve-plc", "--instance", "DEEP"], "values"),
+    (["demand", "--instance", "INST", "--prices", "DEEP", "--buyer", "0"], "prices"),
+    (["clear", "--instance", "INST", "--shards", "DEEP"], "curves"),
+])
+def test_json_nested_too_deep_is_a_one_line_error(capsys, tmp_path, argv, key):
+    paths = {"INST": tmp_path / "inst.json", "DEEP": tmp_path / "deep.json"}
+    save_instance(gen_nonsub(0.001), paths["INST"])
+    nested = "[" * 1000 + "]" * 1000
+    paths["DEEP"].write_text(f'{{"budgets": [1.0], "{key}": {nested}}}')
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not valid JSON: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

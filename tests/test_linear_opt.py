@@ -187,3 +187,13 @@ def test_randomized_greedy_expected_revenue_near_deterministic():
         best = exact_bruteforce(inst).revenue
         mean = float(np.mean([randomized_greedy(inst, s).revenue for s in range(60)]))
         assert mean >= 0.5 * best - 0.05 * best
+
+
+@pytest.mark.parametrize("solve", [greedy, lambda inst: randomized_greedy(inst, 3),
+                                   exact_bruteforce])
+def test_a_dataset_nobody_values_stays_unpriced(solve):
+    # dataset 0 has no positive candidate; dataset 1 has one, buyer 0's value
+    sol = solve(Instance.make([5.0, 1.0], [[0.0, 3.0], [0.0, 0.0]]))
+    assert sol.prices == (0.0, 3.0)
+    assert sol.partition == (None, 0)
+    assert sol.revenue == 3.0

@@ -198,3 +198,20 @@ def test_duals_match_highs_marginals_on_a_nondegenerate_lp():
     want = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
     assert sol.duals == pytest.approx(want.tolist(), abs=1e-12)
     assert sol.duals == pytest.approx([2.0, 0.0, 1.0, -1.0], abs=1e-12)
+
+
+def test_a_redundant_equality_row_is_dropped_with_dual_zero():
+    # the second row repeats the first, so its artificial stays basic at zero
+    # after phase 1 with no real column to pivot on, and the row is dropped
+    problem = make([1.0, 1.0], [((1.0, 1.0), "=", 1.0), ((1.0, 1.0), "=", 1.0),
+                                ((1.0, 0.0), "<=", 0.7)])
+    tab = lp._Tableau(problem)
+    assert tab.phase_one() == 0.0
+    tab.drop_artificials()
+    assert tab.T.shape[0] == 2
+    sol = lp.solve_lp(problem)
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == 1.0
+    assert sol.duals[1] == 0.0
+    assert problem.b @ np.array(sol.duals) == pytest.approx(sol.objective_value, abs=1e-12)
+    assert lp.constraint_residuals(problem, sol.x) == pytest.approx([0.0] * 3, abs=1e-12)
