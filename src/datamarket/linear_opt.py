@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TOLERANCE, Instance, Partition, partition_prices
-from .revenue import desires, extension_value, interested, linear_revenue, revenue, value_array
+from .revenue import (extension_value, interested, left_to_right, linear_revenue, revenue,
+                      value_array)
 
 DEFAULT_GRID_CAP = 2_000_000
 
@@ -85,7 +86,7 @@ def exact_bruteforce(inst: Instance, grid_cap: int = DEFAULT_GRID_CAP) -> Linear
         for i in range(inst.n):
             desire = np.zeros(shape)
             for gain in gains:
-                desire = desire + gain[i]
+                np.add(desire, gain[i], out=desire)
             yield desire
 
     best = np.unravel_index(int(np.argmax(revenue(inst.budgets, grid_desires()))), shape)
@@ -103,24 +104,42 @@ def _check_order(inst: Instance, order) -> list[int]:
     return order
 
 
-def _greedy_prices(inst: Instance, order, choose) -> list[float]:
+def _greedy_prices(inst: Instance, order, choose) -> tuple[list[float], list[float]]:
     """Price the datasets one at a time in ``order``.  Every candidate value
     of a dataset is scored by its marginal revenue, all of them in one kernel
     call, and ``choose(marginals)`` picks the index to commit; datasets with
-    no positive candidate stay unpriced."""
+    no positive candidate stay unpriced.  Returns the prices and, in
+    ``order``, each committed marginal (``0.0`` for an unpriced dataset).
+
+    ``paid[i, k]`` is what buyer ``i`` pays for committed dataset ``k``.  An
+    arrival ``j`` scores its candidates on an ``n x (candidates + 1)`` block:
+    the committed datasets before ``j`` added left to right, then the
+    candidate's own gain (column 0 tries price 0.0, leaving ``j`` unpriced),
+    then each committed dataset after ``j`` in index order.  A dataset not
+    yet priced would add ``+0.0`` to a non-negative sum, which changes no
+    bit, so the desires have the bits of adding all ``m`` datasets in index
+    order.  Under the default order nothing after ``j`` is priced yet and an
+    arrival costs one dataset's work.
+    """
     values = value_array(inst)
     prices = np.zeros(inst.m)
+    paid = np.zeros((inst.n, inst.m))
+    marginals = []
     for j in order:
-        cands = candidate_prices(inst, j)
-        if not cands:
+        trials = np.array([0.0, *candidate_prices(inst, j)])
+        if trials.size == 1:
+            marginals.append(0.0)
             continue
-        # row 0 keeps the current prices, row 1 + c tries candidate c
-        trials = np.repeat(prices[None, :], len(cands) + 1, axis=0)
-        trials[1:, j] = cands
-        trials = trials[:, None, :]
-        rev = revenue(inst.budgets, desires(interested(values, trials), trials).T)
-        prices[j] = cands[choose(rev[1:] - rev[0])]
-    return prices.tolist()
+        gain = np.where(interested(values[:, j, None], trials), trials, 0.0)
+        desire = left_to_right(paid[:, :j])[:, None] + gain
+        for k in np.flatnonzero(prices[j + 1:]):
+            desire += paid[:, j + 1 + k, None]
+        rev = revenue(inst.budgets, desire)
+        marginal = rev[1:] - rev[0]
+        pick = 1 + choose(marginal)
+        prices[j], paid[:, j] = trials[pick], gain[:, pick]
+        marginals.append(float(marginal[pick - 1]))
+    return prices.tolist(), marginals
 
 
 def greedy(inst: Instance, order=None) -> LinearSolution:
@@ -128,8 +147,9 @@ def greedy(inst: Instance, order=None) -> LinearSolution:
     candidate value with the largest marginal revenue (ties toward the
     smallest price; datasets with no positive candidate stay unpriced)."""
     order = _check_order(inst, range(inst.m) if order is None else order)
-    prices = _greedy_prices(inst, order, lambda marginals: int(np.argmax(marginals)))
-    return _solution(inst, prices, "greedy", {"order": tuple(order)})
+    prices, marginals = _greedy_prices(inst, order, lambda marginals: int(np.argmax(marginals)))
+    return _solution(inst, prices, "greedy", {"order": tuple(order),
+                                              "marginals": tuple(marginals)})
 
 
 def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
@@ -146,7 +166,8 @@ def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
             return min(pick, len(marginals) - 1)
         return int(np.argmax(marginals))
 
-    return _solution(inst, _greedy_prices(inst, range(inst.m), sample), "rgreedy", {"seed": seed})
+    prices, marginals = _greedy_prices(inst, range(inst.m), sample)
+    return _solution(inst, prices, "rgreedy", {"seed": seed, "marginals": tuple(marginals)})
 
 
 def _copy_weights(inst: Instance) -> np.ndarray:

@@ -10,6 +10,7 @@ sums run left to right, in item order and in buyer order, so no result
 depends on the pairwise order of numpy's ``ndarray.sum``: item sums of at
 most ``ACCUMULATE_ROWS`` rows by ``np.add.accumulate``, taller ones one
 column at a time, which add in the same sequence and give the same bits.
+The buyer sum takes the same switch on the entries of a buyer's row.
 """
 
 from __future__ import annotations
@@ -67,8 +68,16 @@ def revenue(budgets, buyer_desires):
     """The budget-capped sum ``sum_i min(b_i, desire_i)``, added in buyer order.
 
     ``buyer_desires`` runs over buyers (an array's rows or a generator); each
-    row is one desire or the desires under several price vectors.
+    row is one desire or the desires under several price vectors.  An array
+    whose rows hold at most ``ACCUMULATE_ROWS`` entries is capped in one
+    ``np.minimum`` and added over buyers by ``left_to_right``, which adds in
+    the same sequence as the buyer loop and gives the same bits; generators
+    and longer rows go through the loop, which holds one capped row at a time.
     """
+    if (isinstance(buyer_desires, np.ndarray)
+            and math.prod(buyer_desires.shape[1:]) <= ACCUMULATE_ROWS):
+        # .T puts the buyers last for the sum and gives the rows their shape back
+        return left_to_right(np.minimum(budgets, buyer_desires.T)).T
     total = 0.0
     for budget, desire in zip(budgets, buyer_desires):
         total = total + np.minimum(budget, desire)

@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from datamarket.fixtures import gen_random
+from datamarket.linear_opt import candidate_prices
 from datamarket.model import Bundle, Instance, ShardCurve
+from datamarket.revenue import desires, interested, value_array
 
 
 def grid_demand_payment(price_of, value: float, budget: float, step: float = 1e-3) -> float:
@@ -215,6 +217,32 @@ def sampled_marginals_reference(budgets, W, sel):
     for budget, desire in zip(budgets, without()):
         r_without = r_without + np.minimum(budget, desire)
     return r_with, r_without
+
+
+def _loop_revenue(budgets, buyer_desires):
+    total = 0.0
+    for budget, desire in zip(budgets, buyer_desires):
+        total = total + np.minimum(budget, desire)
+    return total
+
+
+def greedy_prices_reference(inst: Instance, order, choose) -> list[float]:
+    """Greedy's prices scored on every buyer's full desire over all ``m``
+    datasets, a ``(candidates + 1) x n x m`` array per dataset, with the
+    budget-capped sum added one buyer at a time."""
+    values = value_array(inst)
+    prices = np.zeros(inst.m)
+    for j in order:
+        cands = candidate_prices(inst, j)
+        if not cands:
+            continue
+        # row 0 keeps the current prices, row 1 + c tries candidate c
+        trials = np.repeat(prices[None, :], len(cands) + 1, axis=0)
+        trials[1:, j] = cands
+        trials = trials[:, None, :]
+        rev = _loop_revenue(inst.budgets, desires(interested(values, trials), trials).T)
+        prices[j] = cands[choose(rev[1:] - rev[0])]
+    return prices.tolist()
 
 
 def spend_reference(budget, items) -> list[float]:

@@ -130,8 +130,8 @@ def test_solve_plc_stats_are_opt_in(capsys, suboptimal_path, tmp_path):
 
 @pytest.mark.parametrize("method, extra, keys", [
     ("exact", [], {"grid_points"}),
-    ("greedy", ["--order", "2,0,1"], {"order"}),
-    ("rgreedy", ["--seed", "3"], {"seed"}),
+    ("greedy", ["--order", "2,0,1"], {"order", "marginals"}),
+    ("rgreedy", ["--seed", "3"], {"seed", "marginals"}),
     ("cgreedy", ["--steps", "4", "--samples", "8", "--roundings", "4"],
      {"steps", "samples", "roundings", "seed", "step_marginal", "step_max_std"}),
 ])

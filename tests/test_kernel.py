@@ -16,7 +16,13 @@ from datamarket.fixtures import gen_random
 from datamarket.linear_opt import _copy_weights, _sampled_marginals, continuous_greedy
 from datamarket.model import partition_prices, prices_to_shardset
 from datamarket.plc_opt import solve_plc
-from datamarket.revenue import extension_value, left_to_right, linear_revenue, shard_revenue
+from datamarket.revenue import (
+    extension_value,
+    left_to_right,
+    linear_revenue,
+    revenue,
+    shard_revenue,
+)
 from oracle_util import (
     instance_battery,
     left_to_right_desire,
@@ -75,6 +81,30 @@ def test_left_to_right_on_zeros_and_views(rows):
     assert np.signbit(left_to_right(x)[0]) == np.False_
     transposed = _mixed(rng, (40, rows)).T  # a strided view
     _assert_same_bits(left_to_right(transposed), _column_loop(transposed))
+
+
+def _buyer_loop(budgets, desires):
+    total = 0.0
+    for budget, desire in zip(budgets, desires):
+        total = total + np.minimum(budget, desire)
+    return total
+
+
+@pytest.mark.parametrize("row_shape", [(), (1,), (256,), (257,), (3, 4)])
+def test_revenue_of_an_array_is_the_buyer_loop(row_shape):
+    rng = np.random.default_rng(len(row_shape) + sum(row_shape))
+    n = 9
+    budgets = np.abs(_mixed(rng, n))
+    budgets[[1, 4]] = 0.0
+    budgets[[2, 7]] = np.inf
+    desires = _mixed(rng, (n,) + row_shape)
+    desires[1] = -0.0  # capped by a zero budget
+    desires[5] = -0.0
+    for b in (budgets, budgets.tolist()):
+        _assert_same_bits(revenue(b, desires), _buyer_loop(budgets, desires))
+        _assert_same_bits(revenue(b, iter(desires)), _buyer_loop(budgets, desires))
+    zeros = -0.0 * np.abs(desires)  # every row -0.0: sums to +0.0, as from the loop's start
+    _assert_same_bits(revenue(budgets, zeros), _buyer_loop(budgets, zeros))
 
 
 def test_linear_revenue_adds_left_to_right():

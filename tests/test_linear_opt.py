@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from datamarket.fixtures import (
     gen_greedy_tight,
     gen_nonsub,
     gen_random,
+    gen_vertex_cover,
 )
 from datamarket.linear_opt import (
     continuous_greedy,
@@ -20,7 +22,12 @@ from datamarket.linear_opt import (
 )
 from datamarket.model import Instance
 from datamarket.revenue import linear_revenue
-from oracle_util import exhaustive_linear_revenue, instance_battery, sampled_marginals_reference
+from oracle_util import (
+    exhaustive_linear_revenue,
+    greedy_prices_reference,
+    instance_battery,
+    sampled_marginals_reference,
+)
 
 EPS = 0.001
 
@@ -197,3 +204,68 @@ def test_a_dataset_nobody_values_stays_unpriced(solve):
     assert sol.prices == (0.0, 3.0)
     assert sol.partition == (None, 0)
     assert sol.revenue == 3.0
+
+
+def _with_column(inst, j, column):
+    return Instance.make(inst.budgets, [row[:j] + (v,) + row[j + 1:]
+                                        for row, v in zip(inst.values, column)])
+
+
+def _reference_cases():
+    cases = [gen_random(n, m, seed, budget_scale=b)
+             for n, m, seed in ((4, 3, 0), (10, 5, 1), (20, 10, 2), (40, 20, 3), (60, 30, 4))
+             for b in (0.25, 1.0, m / 4, 16.0)]
+    cases += [gen_greedy_tight(9, 1e-3), gen_greedy_suboptimal(),
+              gen_vertex_cover(((0, 1), (1, 2), (2, 3)))]
+    base = gen_random(12, 6, 5, budget_scale=2.0)
+    cases.append(_with_column(base, 2, [0.0] * base.n))  # nobody values dataset 2
+    cases.append(Instance.make((0.0,) + base.budgets[1:], base.values))
+    cases.append(Instance.make(base.budgets[:3] + (math.inf,) + base.budgets[4:], base.values))
+    return cases
+
+
+def _greedy_runs(inst):
+    orders = [None, list(reversed(range(inst.m)))]
+    orders += [random.Random(s).sample(range(inst.m), inst.m) for s in (1, 2)]
+    sols = [greedy(inst, order) for order in orders]
+    sols += [randomized_greedy(inst, seed) for seed in (0, 7, 41)]
+    return [(sol.prices, sol.partition, sol.revenue) for sol in sols]
+
+
+@pytest.mark.parametrize("inst", _reference_cases())
+def test_greedy_matches_the_full_desire_reference(monkeypatch, inst):
+    # same prices, partition and revenue in every order; randomized_greedy
+    # agreeing at each seed also shows that it consumes the same draws
+    got = _greedy_runs(inst)
+    monkeypatch.setattr(linear_opt, "_greedy_prices", lambda inst, order, choose: (
+        greedy_prices_reference(inst, order, choose), []))
+    assert got == _greedy_runs(inst)
+
+
+@pytest.mark.parametrize("inst", [gen_random(20, 10, 3, budget_scale=2.5),
+                                  gen_random(40, 20, 8, budget_scale=0.5),
+                                  gen_greedy_tight(9, 1e-3),
+                                  _reference_cases()[-3]])
+def test_greedy_marginals_add_up_to_the_revenue(inst):
+    for order in (None, list(reversed(range(inst.m)))):
+        sol = greedy(inst, order)
+        marginals = sol.diagnostics["marginals"]
+        assert len(marginals) == inst.m and min(marginals) >= 0.0
+        assert math.isclose(sum(marginals), sol.revenue, rel_tol=0.0,
+                            abs_tol=1e-9 * max(1.0, sol.revenue))
+        for j, marginal in zip(order or range(inst.m), marginals):
+            if sol.partition[j] is None:
+                assert marginal == 0.0
+
+
+@pytest.mark.parametrize("solve", [greedy, lambda inst: randomized_greedy(inst, 3)])
+def test_greedy_memory_is_one_dataset_per_arrival(solve):
+    # scoring every candidate on all m datasets at once peaked at 37 MB here
+    inst = gen_random(200, 100, 0, budget_scale=4)
+    tracemalloc.start()
+    try:
+        solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
