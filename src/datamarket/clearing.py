@@ -30,8 +30,10 @@ after each lowering it rewrites only that item's column and re-adds the
 desires of the buyers who wanted it before or want it now, which gives the
 same bits as a full rescan, since no other buyer's wanted prices moved.
 
-``clearing_allocation`` spends the budgets of all over-budget buyers in one
-``demand.take`` call, one buyer a row.
+``clearing_allocation`` is ``demand.allocate``, the one whole-market
+allocation, with the over-budget buyers as the ones who spend.  One
+``_state`` pass over a scan gives the lowest violating item and the
+potential, which ``clearabilize``, ``is_clearable`` and ``potential`` read.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import take
+from .demand import allocate
 from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet
 from .revenue import desires, interested, left_to_right, revenue, shard_items, value_array
 
@@ -120,29 +122,27 @@ def per_buyer_revenue(mkt: ItemMarket, prices=None) -> tuple[float, ...]:
     return tuple(np.minimum(mkt.arrays[1], mkt.scan(prices)[2]).tolist())
 
 
-def _violating_item(mkt: ItemMarket, q, wants, desire_) -> int | None:
-    """Lowest-index positively priced item with no satisfied interested buyer,
-    from a scan of the market at prices ``q``."""
-    satisfied = desire_ <= mkt.arrays[1] + TOLERANCE
-    violating = np.flatnonzero((q > TOLERANCE) & ~(wants & satisfied[:, None]).any(axis=0))
-    return int(violating[0]) if violating.size else None
+def _state(mkt: ItemMarket, q, wants, desire_) -> tuple[int | None, int]:
+    """From a scan of the market at prices ``q``: the lowest-index positively
+    priced item with no satisfied interested buyer (``None`` when the prices
+    are clearable) and the potential."""
+    over = desire_ > mkt.arrays[1] + TOLERANCE
+    priced = q > TOLERANCE
+    violating = np.flatnonzero(priced & ~(wants & ~over[:, None]).any(axis=0))
+    phi1 = np.count_nonzero(priced) + np.count_nonzero(~wants)
+    return (int(violating[0]) if violating.size else None,
+            int((mkt.num_buyers + 1) * phi1 + np.count_nonzero(over)))
 
 
 def is_clearable(mkt: ItemMarket, prices=None) -> bool:
     """Every positively priced item has a satisfied interested buyer."""
-    return _violating_item(mkt, *mkt.scan(prices)) is None
-
-
-def _potential(mkt: ItemMarket, q, wants, desire_) -> int:
-    phi1 = np.count_nonzero(q > TOLERANCE) + np.count_nonzero(~wants)
-    phi2 = np.count_nonzero(desire_ > mkt.arrays[1] + TOLERANCE)
-    return int((mkt.num_buyers + 1) * phi1 + phi2)
+    return _state(mkt, *mkt.scan(prices))[0] is None
 
 
 def potential(mkt: ItemMarket, prices) -> int:
     """Bounded integer potential that ``clearabilize`` never raises and, unless
     rounding keeps a buyer over budget, lowers every iteration."""
-    return _potential(mkt, *mkt.scan(prices))
+    return _state(mkt, *mkt.scan(prices))[1]
 
 
 def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
@@ -158,8 +158,8 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     potentials = []
     iterations = 0
     while True:
-        potentials.append(_potential(mkt, q, wants, desire_))
-        j = _violating_item(mkt, q, wants, desire_)
+        j, phi = _state(mkt, q, wants, desire_)
+        potentials.append(phi)
         if j is None:
             return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
         if iterations >= bound:
@@ -194,18 +194,15 @@ def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
     all of them hold it at once), so each positively priced item is fully
     owned by its lowest-index satisfied interested buyer.  A buyer is
     satisfied when her desire fits her budget within tolerance; every other
-    buyer spends her whole budget by ``demand.take``, the spend rule
-    ``optimal_demand`` uses too, in one call for all of them.  Zero-priced
+    buyer spends her whole budget by ``demand.take``: the allocation is
+    ``demand.allocate``, the one ``optimal_demand`` uses too.  Zero-priced
     items go to everyone.
     """
     q, wants, desire_ = mkt.scan(prices)
-    if _violating_item(mkt, q, wants, desire_) is not None:
+    if _state(mkt, q, wants, desire_)[0] is not None:
         raise ValueError("prices are not clearable")
     values, budgets, _ = mkt.arrays
-    constrained = ~(desire_ <= budgets + TOLERANCE)
-    fractions = np.where(wants, 1.0, 0.0)
-    fractions[constrained] = take(budgets[constrained], values[constrained], q,
-                                  wants[constrained])
+    fractions = allocate(budgets, values, q, wants, desire_ > budgets + TOLERANCE)
     payments = np.minimum(budgets, desire_).tolist()
     bundles = tuple(Bundle(tuple(row), pay) for row, pay in zip(fractions.tolist(), payments))
     return Allocation(bundles, float(revenue(budgets, desire_)))

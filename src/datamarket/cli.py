@@ -15,7 +15,6 @@ import sys
 from . import clearing, fixtures, gaussian, linear_opt, plc_opt, properties
 from .demand import optimal_demand
 from .model import (
-    FormatError,
     ValidationError,
     _write_json,
     load_instance,
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,11 @@
 ``optimal_demand`` gives a buyer's utility-maximizing bundle under shard
 pricing.  It computes every buyer's bundle in one pass over the market and
 keeps them for the last instance and ShardSet, so a loop over the buyers
-costs one pass.  Budgets that bind are spent by one ``take`` call, the one
-fractional-knapsack rule, which spends for many buyers at once, one a row;
-``clearing.clearing_allocation`` calls it the same way.  ``rate_threshold``
+costs one pass.  ``allocate`` is the one whole-market allocation, one buyer
+a row: the rows it is told spend their budgets by ``take``, the one
+fractional-knapsack rule, and every other row takes each wanted item whole.
+``optimal_demand`` and ``clearing.clearing_allocation`` both call it; only
+their tests for who spends differ.  ``rate_threshold``
 finds the largest prefix of a dataset whose marginal price stays within a
 buyer's per-unit value, and ``convexify``/``piecewise_linearize`` are the two
 revenue-safe curve transforms: lower convex envelope and slope
@@ -105,22 +107,32 @@ def take(budgets, values, prices, wants) -> np.ndarray:
     return np.where(wants & (prices <= TOLERANCE), 1.0, fractions)
 
 
+def allocate(budgets, values, prices, wants, spends) -> np.ndarray:
+    """Each buyer's fraction of each item, one buyer a row.
+
+    Rows in the boolean mask ``spends`` spend their budgets by ``take``, all
+    in one call; every other row takes each wanted item whole.  Every
+    buyer sees the one row of ``prices``.
+    """
+    fractions = np.where(wants, 1.0, 0.0)
+    fractions[spends] = take(budgets[spends], values[spends], prices, wants[spends])
+    return fractions
+
+
 def _market_demand(inst: Instance, shards: ShardSet) -> tuple[Bundle, ...]:
     """Every buyer's optimal bundle under shard pricing, as ``optimal_demand``
-    gives it one at a time: one pass over the market and one ``take`` for
-    the buyers whose budget binds."""
+    gives it one at a time: one ``allocate`` over the market, in which the
+    buyers whose budget binds spend it."""
     budgets = np.array(inst.budgets, dtype=float)
     values, prices, sizes = shard_items(value_array(inst), shards)
     wants = interested(values, prices, sizes)
     total_cost = left_to_right(desires(wants, prices))
-    bound = budgets < total_cost
-    rows = np.count_nonzero(bound)
-    fractions = np.where(wants, sizes, 0.0)
-    spent = take(budgets[bound], values[bound].reshape(rows, prices.size), prices.ravel(),
-                 wants[bound].reshape(rows, prices.size))
-    fractions[bound] = spent.reshape((rows,) + sizes.shape) * sizes
-    payments = [b if binds else cost
-                for b, binds, cost in zip(inst.budgets, bound.tolist(), total_cost.tolist())]
+    flat = (inst.n, prices.size)
+    fractions = allocate(budgets, values.reshape(flat), prices.ravel(), wants.reshape(flat),
+                         budgets < total_cost).reshape(wants.shape) * sizes
+    # min(cost, budget) is the budget where it binds, the very object in the
+    # instance: a new float per buyer, kept by the memo, raises peak memory
+    payments = map(min, total_cost.tolist(), inst.budgets)
     return tuple(Bundle(tuple(row), pay)
                  for row, pay in zip(left_to_right(fractions).tolist(), payments))
 

@@ -41,16 +41,10 @@ def candidate_prices(inst: Instance, j: int) -> list[float]:
 
 
 def _partition_for_prices(inst: Instance, prices) -> Partition:
-    part: list[int | None] = []
-    for j, p in enumerate(prices):
-        owner = None
-        if p > TOLERANCE:
-            for i in range(inst.n):
-                if inst.values[i][j] == p:
-                    owner = i
-                    break
-        part.append(owner)
-    return tuple(part)
+    """Each priced dataset's first buyer whose value is its price; every
+    positive price here is some buyer's value."""
+    columns = tuple(zip(*inst.values))
+    return tuple(columns[j].index(p) if p > TOLERANCE else None for j, p in enumerate(prices))
 
 
 def _solution(inst: Instance, prices, method: str, diagnostics: dict,

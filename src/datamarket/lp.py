@@ -109,7 +109,6 @@ class LpSolution:
     status: str
     x: tuple[float, ...]
     objective_value: float
-    basis: tuple[int, ...]
     phase1_pivots: int = 0  # includes pivots that move artificials out of the basis
     phase2_pivots: int = 0
     degenerate_pivots: int = 0  # simplex pivots whose step was at most PIVOT_TOL
@@ -253,17 +252,16 @@ class _Tableau:
         counts = dict(phase1_pivots=self.pivots[0], phase2_pivots=self.pivots[1],
                       degenerate_pivots=self.degenerate_pivots)
         if status == INFEASIBLE:
-            return LpSolution(INFEASIBLE, (), math.nan, (), **counts)
+            return LpSolution(INFEASIBLE, (), math.nan, **counts)
         if status == UNBOUNDED:
-            return LpSolution(UNBOUNDED, (), math.inf, (), **counts)
+            return LpSolution(UNBOUNDED, (), math.inf, **counts)
         x = np.zeros(self.n_structural)
         x[self.basis] = self.T[:, -1]
         primal = x[: self.n_original]
         # y = c_B B^-1; a dropped redundant row has dual 0, absent from the sum
         duals = self.cost[self.basis] @ self.T[:, self.identity] * self.sign
         return LpSolution(OPTIMAL, tuple(primal.tolist()),
-                          float(self.cost[: self.n_original] @ primal),
-                          tuple(sorted(self.basis.tolist())), **counts,
+                          float(self.cost[: self.n_original] @ primal), **counts,
                           duals=tuple(duals.tolist()))
 
 

@@ -34,7 +34,10 @@ class ValidationError(ValueError):
 def _require_number(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise FormatError(f"{what} must be a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x) + 0.0  # -0.0 reads as 0.0
+    except OverflowError:
+        raise FormatError(f"{what} is an integer too large for a float") from None
 
 
 @dataclass(frozen=True)

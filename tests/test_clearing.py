@@ -330,6 +330,39 @@ def test_clearabilize_potential_strictly_decreases(c):
     assert iterations > 100
 
 
+def _seeded_markets():
+    """The seeded markets of the tests above: posted prices, the pricing
+    battery's shards, raised shard prices, and each dataset posted at its
+    highest value."""
+    rng = random.Random(220)
+    for trial in range(60):
+        inst = gen_random(rng.randint(1, 4), rng.randint(1, 4), seed=trial + 7000,
+                          budget_scale=rng.choice([0.3, 1.0]))
+        yield market_from_prices(inst, tuple(rng.uniform(0.0, 1.4) for _ in range(inst.m)))
+    for inst, shards in pricing_battery(64):
+        yield shards_to_items(inst, shards)
+    rng = random.Random(223)
+    for trial in range(30):
+        inst = gen_random(rng.randint(2, 4), rng.randint(1, 3), seed=trial + 8100,
+                          budget_scale=0.4)
+        market = shards_to_items(inst, solve_plc(inst).shards)
+        yield dataclasses.replace(
+            market, prices=tuple(q * rng.uniform(1.0, 3.0) for q in market.prices))
+    for seed in range(20):
+        inst = gen_random(15, 8, seed)
+        yield market_from_prices(inst, [max(row[j] for row in inst.values) for j in range(inst.m)])
+
+
+def test_potential_and_is_clearable_read_the_state_clearabilize_starts_from():
+    iterations = []
+    for market in _seeded_markets():
+        result = clearabilize(market)
+        assert potential(market, market.prices) == result.potentials[0]
+        assert is_clearable(market) == (result.iterations == 0)
+        iterations.append(result.iterations)
+    assert 0 < iterations.count(0) < len(iterations)  # both outcomes occur
+
+
 @pytest.mark.parametrize("prices", [[0.1], [0.1, 0.2], [0.1] * 4, 0.1])
 @pytest.mark.parametrize("call", [
     lambda mkt, prices: desire(mkt, 0, prices),

@@ -317,3 +317,46 @@ def test_json_nested_too_deep_is_a_one_line_error(capsys, tmp_path, argv, key):
     assert captured.err.startswith("error: not valid JSON: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+#: Files written as raw text, so a number reaches the parser exactly as typed:
+#: an instance, prices and shards for it, and the command that reads them.
+NUMBER_FILES = {
+    "instance": ('{{"budgets": [1.0, 2.0], "values": [[{x}, 1.0], [{x}, 0.5]]}}',
+                 ["solve-plc", "--instance", "FILE"]),
+    "prices": ('{{"prices": [{x}, 1.0]}}',
+               ["clear", "--instance", "INST", "--prices", "FILE"]),
+    "shards": ('{{"curves": [[{{"size": 1.0, "slope": {x}}}], [{{"size": 1.0, "slope": 1.0}}]]}}',
+               ["demand", "--instance", "INST", "--shards", "FILE", "--buyer", "0"]),
+}
+
+
+def _run_on_number(capsys, tmp_path, kind, x, argv=None):
+    text, default_argv = NUMBER_FILES[kind]
+    paths = {"INST": tmp_path / "inst.json", "FILE": tmp_path / f"{kind}.json"}
+    paths["INST"].write_text(NUMBER_FILES["instance"][0].format(x="0.5"))
+    paths["FILE"].write_text(text.format(x=x))
+    code = main([str(paths.get(arg, arg)) for arg in argv or default_argv])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind,what", [("instance", "value"), ("prices", "price"),
+                                       ("shards", "slope")])
+def test_an_integer_too_large_for_a_float_is_a_one_line_error(capsys, tmp_path, kind, what):
+    code, captured = _run_on_number(capsys, tmp_path, kind, "1" + "0" * 400)
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {what} is an integer too large for a float\n"
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("instance", None),
+    ("instance", ["solve-linear", "--instance", "FILE", "--method", "cgreedy"]),
+    ("prices", None),
+    ("shards", ["clear", "--instance", "INST", "--shards", "FILE"]),
+])
+def test_negative_zero_in_a_file_reads_as_zero(capsys, tmp_path, kind, argv):
+    code, negative = _run_on_number(capsys, tmp_path, kind, "-0.0", argv)
+    assert code == 0
+    assert _run_on_number(capsys, tmp_path, kind, "0.0", argv) == (0, negative)
+    assert "-0.0" not in negative.out

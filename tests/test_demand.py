@@ -6,6 +6,7 @@ import pytest
 
 from datamarket.demand import (
     PiecewiseCurve,
+    allocate,
     convexify,
     optimal_demand,
     piecewise_linearize,
@@ -15,7 +16,7 @@ from datamarket.demand import (
 from datamarket.fixtures import gen_lingap, gen_random
 from datamarket.model import Instance, ShardCurve, ValidationError
 from datamarket.plc_opt import solve_plc
-from datamarket.revenue import shard_desires
+from datamarket.revenue import interested, shard_desires
 from oracle_util import (
     demand_reference,
     grid_demand_payment,
@@ -274,3 +275,24 @@ def test_optimal_demand_checks_the_buyer_before_the_kept_bundles(buyer):
     optimal_demand(inst, 0, shards)  # keeps every buyer's bundle
     with pytest.raises(IndexError, match=f"buyer index {buyer} out of range for n=3"):
         optimal_demand(inst, buyer, shards)
+
+
+@pytest.mark.parametrize("spends", [
+    [False] * 5, [True] * 5, [True, True, False, True, False], [False, False, True, False, True],
+])
+def test_allocate_spends_the_chosen_rows_by_take_and_gives_the_rest_whole(spends):
+    # a zero and an infinite budget; item 0 is free and every row wants it
+    budgets = np.array([0.0, math.inf, 0.7, 1.3, 2.0])
+    values = np.array([[0.2, 0.5, 2.0, 1.2], [0.0, 0.4, 0.9, 3.0], [1.0, 0.8, 1.5, 1.1],
+                       [0.5, 0.4, 1.0, 1.0], [0.1, 0.0, 1.0, 0.9]])
+    prices = np.array([0.0, 0.4, 1.0, 0.9])
+    wants = interested(values, prices)
+    spends = np.array(spends)
+    fractions = allocate(budgets, values, prices, wants, spends)
+    assert fractions[spends].tolist() == take(budgets[spends], values[spends], prices,
+                                              wants[spends]).tolist()
+    assert fractions[~spends].tolist() == np.where(wants[~spends], 1.0, 0.0).tolist()
+    if spends[0]:
+        assert fractions[0].tolist() == [1.0, 0.0, 0.0, 0.0]  # only the free item
+    if spends[1]:
+        assert fractions[1].tolist() == wants[1].astype(float).tolist()
