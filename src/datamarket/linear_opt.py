@@ -52,6 +52,8 @@ def _solution(inst: Instance, prices, method: str, diagnostics: dict,
     prices = tuple(prices)
     if partition is None:
         partition = _partition_for_prices(inst, prices)
+    else:  # a copy picked at value 0 prices nothing, so its dataset has no owner
+        partition = tuple(who if p > TOLERANCE else None for who, p in zip(partition, prices))
     return LinearSolution(prices, partition, linear_revenue(inst, prices), method, diagnostics)
 
 

@@ -15,8 +15,12 @@ pivot.  Bland's rule cannot cycle and every nondegenerate pivot strictly
 improves the objective, so the method terminates.  Every choice is a fixed
 function of the tableau, so the solver is deterministic for a fixed input.
 
-Every problem takes the same path, including one without rows or without
-artificial variables: phase 1 then ends at once with a residual of 0.
+``solve_lp`` runs both phases on every problem, including one without rows
+or without artificial variables: phase 1 then ends at once with a residual
+of 0.  ``LiveTableau`` skips phase 1 when the caller knows a feasible basis,
+and keeps its tableau between solves so that columns can be added: column
+generation then continues phase 2 from the previous optimum, whose basis
+stays feasible when columns are added.
 
 An optimal solution carries the row duals too.  They are read off the final
 tableau: the columns of the starting identity basis (each row's slack or
@@ -263,6 +267,57 @@ class _Tableau:
         return LpSolution(OPTIMAL, tuple(primal.tolist()),
                           float(self.cost[: self.n_original] @ primal), **counts,
                           duals=tuple(duals.tolist()))
+
+
+class LiveTableau(_Tableau):
+    """Phase 2 on one tableau that outlives its solves: it starts from a
+    feasible basis the caller names and takes new columns between solves.
+
+    ``rows[i]`` starts with original column ``columns[i]`` basic; every other
+    row keeps its slack, so it must be a ``<=`` row after the sign
+    normalisation.  Each named column must be a unit vector on the named
+    rows, 1 in its own, so the start is one elimination, not a pivot per row;
+    it must leave every right-hand side non-negative, since no phase 1 runs.
+    The starting identity columns keep holding the basis inverse, so a new
+    column's entries are that inverse times the column, and the duals are
+    read as ``solve_lp`` reads them.  Added columns follow the problem's
+    variables in ``x``, in the order they were added.
+    """
+
+    def __init__(self, problem: LpProblem, rows, columns):
+        super().__init__(problem)
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        T = self.T
+        if not np.array_equal(T[np.ix_(rows, columns)], np.eye(rows.size)):
+            raise ValueError("each starting column must be a unit vector on the named rows")
+        others = np.ones(T.shape[0], dtype=bool)
+        others[rows] = False
+        if (self.basis[others] >= self.n_structural).any():
+            raise ValueError("a row without a starting column needs a <= slack")
+        touched = np.flatnonzero(others & T[:, columns].any(axis=1))
+        T[touched] -= T[np.ix_(touched, columns)] @ T[rows]
+        if (T[:, -1] < -FEASIBILITY_TOL).any():
+            raise ValueError("the starting basis is infeasible")
+        self.basis[rows] = columns
+        self.objective = problem.c
+
+    def add_columns(self, c, A) -> None:
+        """Append variables with objective ``c`` and constraint columns ``A``
+        (one row per problem row); the current basis stays feasible."""
+        A = np.asarray(A, dtype=float)
+        entries = self.T[:, self.identity] @ (A * self.sign[:, None])
+        n, added = self.n_original, entries.shape[1]
+        self.T = np.concatenate((self.T[:, :n], entries, self.T[:, n:]), axis=1)
+        self.basis[self.basis >= n] += added
+        self.identity += added
+        self.n_original += added
+        self.n_structural += added
+        self.objective = np.concatenate((self.objective, c))
+
+    def solve(self) -> LpSolution:
+        """Continue phase 2 from the current basis; optimal or unbounded."""
+        return self.result(OPTIMAL if self.phase_two(self.objective) else UNBOUNDED)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:

@@ -22,8 +22,12 @@ with a buyers-by-columns mask of who wants what.  That mask is decided once,
 in the instance's own money, so the LP and ``shard_revenue`` agree on every
 buyer.  Each round adds the two best columns of every dataset whose reduced
 cost exceeds ``lp.PIVOT_TOL``; when none does, the master's optimum is the
-full program's.  Slopes come back as the buyers' own values, by index, never
-multiplied by the scale.
+full program's.  Unlike every other LP here, the masters do not go through
+``lp.solve_lp``: they share one ``lp.LiveTableau``, started from the basis of
+the budget and desire slacks and the median columns, which is feasible, so
+no phase 1 runs; each round's columns join that tableau and phase 2
+continues from the previous optimum.  Slopes come back as the buyers' own
+values, by index, never multiplied by the scale.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ class PlcSolution:
     per_buyer_revenue: tuple[float, ...]
     total_revenue: float
     positive_shard_count: int
-    # master rounds, final and full z-column counts, pivots summed over masters
+    # master rounds, final and full z-column counts, pivots over every round,
+    # and the largest |curve revenue - LP revenue| of a paying buyer, in money
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -98,30 +103,37 @@ def build_pricing_lp(inst: Instance) -> lp.LpProblem:
 
 
 def _build(market: _Market, columns: np.ndarray) -> lp.LpProblem:
-    """The pricing LP over the given z columns (ascending indices), then one
+    """The pricing LP over the given z columns, in that order, then one
     revenue column per paying buyer.  Rows: a budget row per payer, a desire
     row per payer, a shard-sizes-sum-to-one row per dataset."""
     budgets, payers = market.budgets, market.payers
-    datasets = market.dataset[columns]
-    slopes = market.slopes[columns]
-    k = payers.size
-    z = columns.size
+    k, z = payers.size, columns.size
     r_cols = z + np.arange(k)
-    objective = np.zeros(z + k)
-    matrix = np.zeros((2 * k + market.starts.size - 1, z + k))
-
-    objective[r_cols] = 1.0
+    z_objective, z_matrix = _z_columns(market, columns)
+    objective = np.concatenate((z_objective, np.ones(k)))
+    matrix = np.zeros((z_matrix.shape[0], z + k))
+    matrix[:, :z] = z_matrix
     matrix[np.arange(k), r_cols] = 1.0          # budget rows: r_i <= b_i
     matrix[k + np.arange(k), r_cols] = 1.0      # desire rows: r_i - desire_i(z) <= 0
-    # buyer i pays slope t per unit of every shard whose slope she can afford
-    affordable = market.wants[:, columns]
-    matrix[k:2 * k, :z] = np.where(affordable[payers], -slopes, 0.0)
-    # infinite budgets never bind, so those buyers pay their desire outright
-    objective[:z] = np.where(affordable[np.isinf(budgets)], slopes, 0.0).sum(axis=0)
-    matrix[2 * k + datasets, np.arange(z)] = 1.0  # shard sizes sum to one
     rhs = np.concatenate((budgets[payers], np.zeros(k), np.ones(market.starts.size - 1)))
     relations = np.array([lp.LESS_EQUAL] * (2 * k) + [lp.EQUAL] * (market.starts.size - 1))
     return lp.LpProblem(objective, matrix, relations, rhs)
+
+
+def _z_columns(market: _Market, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given z columns' objective coefficients and constraint columns,
+    rows as in ``_build``: the one place both the full program and the
+    columns a master gains are written."""
+    k = market.payers.size
+    slopes = market.slopes[columns]
+    affordable = market.wants[:, columns]
+    matrix = np.zeros((2 * k + market.starts.size - 1, columns.size))
+    # buyer i pays slope t per unit of every shard whose slope she can afford
+    matrix[k:2 * k] = np.where(affordable[market.payers], -slopes, 0.0)
+    matrix[2 * k + market.dataset[columns], np.arange(columns.size)] = 1.0  # sizes sum to one
+    # infinite budgets never bind, so those buyers pay their desire outright
+    objective = np.where(affordable[np.isinf(market.budgets)], slopes, 0.0).sum(axis=0)
+    return objective, matrix
 
 
 def _reduced_costs(market: _Market, duals: np.ndarray) -> np.ndarray:
@@ -145,28 +157,42 @@ def _entering(market: _Market, reduced: np.ndarray, in_master: np.ndarray) -> np
     return ranked[rank < _ENTERING]
 
 
+def _rounds(market: _Market):
+    """Column generation on one live tableau.  Yields each round's master
+    columns (the medians, then each round's entering columns, in the order
+    the master's z variables hold them) and its optimum; the last one is
+    the full program's."""
+    k, m = market.payers.size, market.starts.size - 1
+    columns = (market.starts[:-1] + market.starts[1:] - 1) // 2  # the medians
+    in_master = np.zeros(market.slopes.size, dtype=bool)
+    in_master[columns] = True
+    # each median starts basic in its dataset's sum row: the budget and
+    # desire slacks then hold b_i >= 0 and the desire at the medians >= 0
+    master = lp.LiveTableau(_build(market, columns), 2 * k + np.arange(m), np.arange(m))
+    while True:
+        solution = master.solve()
+        if solution.status != lp.OPTIMAL:
+            raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
+        yield columns, solution
+        entering = _entering(market, _reduced_costs(market, np.array(solution.duals)), in_master)
+        if not entering.size:
+            return
+        in_master[entering] = True
+        columns = np.concatenate((columns, entering))
+        master.add_columns(*_z_columns(market, entering))
+
+
 def solve_plc(inst: Instance) -> PlcSolution:
     """Solve the pricing LP by column generation and assemble the optimal
     shard curves."""
     scale = _money_scale(inst)
     market = _Market.of(inst, scale)
-    in_master = np.zeros(market.slopes.size, dtype=bool)
-    in_master[(market.starts[:-1] + market.starts[1:] - 1) // 2] = True  # the medians
-    rounds, pivots = 0, np.zeros(3, dtype=int)
-    while True:
-        columns = np.flatnonzero(in_master)
-        solution = lp.solve_lp(_build(market, columns))
-        if solution.status != lp.OPTIMAL:
-            raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
-        rounds += 1
-        pivots += (solution.phase1_pivots, solution.phase2_pivots, solution.degenerate_pivots)
-        entering = _entering(market, _reduced_costs(market, np.array(solution.duals)), in_master)
-        if not entering.size:
-            break
-        in_master[entering] = True
-
+    for rounds, (columns, solution) in enumerate(_rounds(market), start=1):
+        pass
+    k, m = market.payers.size, inst.m
     x = np.array(solution.x)
-    sizes, revenues = x[:columns.size], x[columns.size:]
+    # the master's variables: the median z columns, the revenues, then the rest
+    sizes, revenues = np.concatenate((x[:m], x[m + k:])), x[m:m + k]
     curves = []
     for j in range(inst.m):
         kept = (market.dataset[columns] == j) & (sizes > TOLERANCE)
@@ -175,17 +201,21 @@ def solve_plc(inst: Instance) -> PlcSolution:
     shards = tuple(curves)
 
     per_buyer, total = shard_revenue(inst, shards)
-    for i, lp_revenue in zip(market.payers.tolist(), revenues.tolist()):
-        # in money: 1e-6, or 1e-6 of the scale when that is smaller
-        if abs(per_buyer[i] - lp_revenue * scale) > 1e-6 * min(1.0, scale):
-            raise RuntimeError(
-                f"revenue mismatch for buyer {i}: curves give {per_buyer[i]}, "
-                f"LP gives {lp_revenue * scale}"
-            )
+    gaps = np.abs(np.take(per_buyer, market.payers) - revenues * scale)
+    # in money: 1e-6, or 1e-6 of the scale when that is smaller
+    wrong = np.flatnonzero(gaps > 1e-6 * min(1.0, scale))
+    if wrong.size:
+        i = int(market.payers[wrong[0]])
+        raise RuntimeError(
+            f"revenue mismatch for buyer {i}: curves give {per_buyer[i]}, "
+            f"LP gives {revenues[wrong[0]] * scale}"
+        )
     diagnostics = {"rounds": rounds, "z_columns": int(columns.size),
                    "z_columns_full": int(market.slopes.size),
-                   "phase1_pivots": int(pivots[0]), "phase2_pivots": int(pivots[1]),
-                   "degenerate_pivots": int(pivots[2])}
+                   "phase1_pivots": solution.phase1_pivots,
+                   "phase2_pivots": solution.phase2_pivots,
+                   "degenerate_pivots": solution.degenerate_pivots,
+                   "revenue_gap": float(gaps.max(initial=0.0))}
     positive = int((sizes > TOLERANCE).sum())
     return PlcSolution(shards, per_buyer, total, positive, diagnostics)
 

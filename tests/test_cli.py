@@ -151,6 +151,17 @@ def test_solve_linear_stats_are_opt_in(capsys, suboptimal_path, method, extra, k
         assert len(stats["step_marginal"]) == len(stats["step_max_std"]) == 4
 
 
+@pytest.mark.parametrize("method", ["greedy", "rgreedy", "cgreedy", "exact"])
+def test_an_unpriced_dataset_has_no_owner(capsys, tmp_path, method):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"budgets": [1.0, 2.0], "values": [[0.0, 1.0], [0.0, 0.5]]}))
+    code, out = run(capsys, ["solve-linear", "--instance", str(path), "--method", method])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["prices"][0] == 0.0
+    assert doc["assignment"][0] is None
+
+
 def test_clear_stats_are_opt_in(capsys, tmp_path):
     inst_path = tmp_path / "inst.json"
     save_instance(gen_nonsub(0.001), inst_path)

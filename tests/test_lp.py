@@ -215,3 +215,31 @@ def test_a_redundant_equality_row_is_dropped_with_dual_zero():
     assert sol.duals[1] == 0.0
     assert problem.b @ np.array(sol.duals) == pytest.approx(sol.objective_value, abs=1e-12)
     assert lp.constraint_residuals(problem, sol.x) == pytest.approx([0.0] * 3, abs=1e-12)
+
+
+def test_live_tableau_matches_a_cold_solve_as_columns_arrive():
+    # x0 + x1 = 1, x1 + x2 <= 0.5, x0 - x2 <= 1.2; x0 starts basic in row 0
+    rows = [((1.0, 1.0), "=", 1.0), ((0.0, 1.0), "<=", 0.5), ((1.0, 0.0), "<=", 1.2)]
+    live = lp.LiveTableau(make([1.0, 2.0], rows), [0], [0])
+    first = live.solve()
+    assert first.status == lp.OPTIMAL
+    assert first.objective_value == pytest.approx(1.5)
+    live.add_columns([3.0], [[0.0], [1.0], [-1.0]])
+    added = live.solve()
+    full = lp.solve_lp(make([1.0, 2.0, 3.0], [((1.0, 1.0, 0.0), "=", 1.0),
+                                             ((0.0, 1.0, 1.0), "<=", 0.5),
+                                             ((1.0, 0.0, -1.0), "<=", 1.2)]))
+    assert added.objective_value == pytest.approx(full.objective_value, rel=1e-12)
+    assert added.duals == pytest.approx(full.duals, abs=1e-12)
+    assert added.phase1_pivots == 0
+    assert added.phase2_pivots >= first.phase2_pivots
+
+
+@pytest.mark.parametrize("rows, basis_rows, basis_columns, message", [
+    ([((1.0, 1.0), "=", 1.0), ((2.0, 0.0), "=", 1.0)], [0, 1], [0, 1], "unit vector"),
+    ([((1.0, 1.0), "=", 1.0), ((1.0, 0.0), ">=", 0.5)], [0], [1], "slack"),
+    ([((1.0, 1.0), "=", 1.0), ((0.0, 1.0), "<=", 0.5)], [0], [1], "infeasible"),
+])
+def test_live_tableau_rejects_a_bad_starting_basis(rows, basis_rows, basis_columns, message):
+    with pytest.raises(ValueError, match=message):
+        lp.LiveTableau(make([1.0, 1.0], rows), basis_rows, basis_columns)

@@ -161,10 +161,12 @@ def test_column_generation_matches_highs_on_large_instances(n, m, budget_scale):
 def test_diagnostics_stay_out_of_the_output():
     inst = gen_random(10, 5, seed=2, budget_scale=4.0)
     sol = solve_plc(inst)
-    assert set(sol.diagnostics) == {"rounds", "z_columns", "z_columns_full",
-                                    "phase1_pivots", "phase2_pivots", "degenerate_pivots"}
-    # every master drives one artificial out per shard-size row
-    assert sol.diagnostics["phase1_pivots"] == sol.diagnostics["rounds"] * inst.m
+    assert set(sol.diagnostics) == {"rounds", "z_columns", "z_columns_full", "phase1_pivots",
+                                    "phase2_pivots", "degenerate_pivots", "revenue_gap"}
+    # the medians give the first master a feasible basis, and every later
+    # round continues from the previous optimum
+    assert sol.diagnostics["phase1_pivots"] == 0
+    assert 0.0 <= sol.diagnostics["revenue_gap"] <= 1e-6
     assert "diagnostics" not in plc_solution_to_dict(sol)
 
 
@@ -183,6 +185,41 @@ def test_pricing_equals_full_lp_reduced_costs():
         got = plc_opt._reduced_costs(market, duals)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert (want > lp.PIVOT_TOL).any()  # the medians alone are not optimal
+
+
+def _warm_start_cases():
+    for budget_scale in (0.25, 1.0, 4.0, 16.0):
+        for seed in range(3):
+            yield f"b{budget_scale:g}-seed{seed}", gen_random(15, 6, seed, budget_scale=budget_scale)
+    base = gen_random(12, 5, seed=9, budget_scale=4.0)
+    yield "every-budget-infinite", Instance.make([math.inf] * base.n, base.values)
+    yield "a-zero-budget", Instance.make([0.0] + list(base.budgets[1:]), base.values)
+    yield "one-distinct-value", Instance.make(
+        base.budgets, [[0.5] + list(row[1:]) for row in base.values])
+
+
+@pytest.mark.parametrize("inst", [inst for _, inst in _warm_start_cases()],
+                         ids=[name for name, _ in _warm_start_cases()])
+def test_every_warm_round_matches_a_cold_master(inst):
+    """Each round's live tableau reaches the optimum a cold two-phase solve
+    of the same master reaches, without a phase-1 pivot."""
+    market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
+    k, m = market.payers.size, inst.m
+    rounds = 0
+    for columns, warm in plc_opt._rounds(market):
+        rounds += 1
+        problem = plc_opt._build(market, columns)
+        cold = lp.solve_lp(problem)
+        assert warm.objective_value == pytest.approx(cold.objective_value, rel=1e-9)
+        assert warm.phase1_pivots == 0
+        # the live master holds the medians, the revenues, then each round's columns
+        x = np.array(warm.x)
+        x = np.concatenate((x[:m], x[m + k:], x[m:m + k]))
+        assert max(lp.constraint_residuals(problem, x), default=0.0) <= 1e-7
+    sol = solve_plc(inst)
+    assert sol.diagnostics["rounds"] == rounds
+    assert sol.positive_shard_count <= inst.m + inst.n
+    assert solve_plc(inst) == sol
 
 
 @pytest.mark.parametrize("budgets, values, revenue", [
