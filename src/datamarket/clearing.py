@@ -32,8 +32,9 @@ same bits as a full rescan, since no other buyer's wanted prices moved.
 
 ``clearing_allocation`` is ``demand.allocate``, the one whole-market
 allocation, with the over-budget buyers as the ones who spend.  One
-``_state`` pass over a scan gives the lowest violating item and the
-potential, which ``clearabilize``, ``is_clearable`` and ``potential`` read.
+``_state`` pass over a scan gives the lowest violating item, the potential
+and the over-budget buyers, which ``clearabilize``, ``clearing_allocation``,
+``is_clearable`` and ``potential`` read.
 """
 
 from __future__ import annotations
@@ -122,16 +123,16 @@ def per_buyer_revenue(mkt: ItemMarket, prices=None) -> tuple[float, ...]:
     return tuple(np.minimum(mkt.arrays[1], mkt.scan(prices)[2]).tolist())
 
 
-def _state(mkt: ItemMarket, q, wants, desire_) -> tuple[int | None, int]:
+def _state(mkt: ItemMarket, q, wants, desire_) -> tuple[int | None, int, np.ndarray]:
     """From a scan of the market at prices ``q``: the lowest-index positively
     priced item with no satisfied interested buyer (``None`` when the prices
-    are clearable) and the potential."""
+    are clearable), the potential, and which buyers are over budget."""
     over = desire_ > mkt.arrays[1] + TOLERANCE
     priced = q > TOLERANCE
     violating = np.flatnonzero(priced & ~(wants & ~over[:, None]).any(axis=0))
     phi1 = np.count_nonzero(priced) + np.count_nonzero(~wants)
     return (int(violating[0]) if violating.size else None,
-            int((mkt.num_buyers + 1) * phi1 + np.count_nonzero(over)))
+            int((mkt.num_buyers + 1) * phi1 + np.count_nonzero(over)), over)
 
 
 def is_clearable(mkt: ItemMarket, prices=None) -> bool:
@@ -158,13 +159,13 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     potentials = []
     iterations = 0
     while True:
-        j, phi = _state(mkt, q, wants, desire_)
+        j, phi, over = _state(mkt, q, wants, desire_)
         potentials.append(phi)
         if j is None:
             return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
         if iterations >= bound:
             raise RuntimeError("clearabilize failed to terminate within its bound")
-        constrained_interested = wants[:, j] & (desire_ > budgets + TOLERANCE)
+        constrained_interested = wants[:, j] & over
         if constrained_interested.any():
             # what each such buyer has left after her other wanted items
             budget = budgets[constrained_interested]
@@ -199,10 +200,11 @@ def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
     items go to everyone.
     """
     q, wants, desire_ = mkt.scan(prices)
-    if _state(mkt, q, wants, desire_)[0] is not None:
+    j, _, over = _state(mkt, q, wants, desire_)
+    if j is not None:
         raise ValueError("prices are not clearable")
     values, budgets, _ = mkt.arrays
-    fractions = allocate(budgets, values, q, wants, desire_ > budgets + TOLERANCE)
+    fractions = allocate(budgets, values, q, wants, over)
     payments = np.minimum(budgets, desire_).tolist()
     bundles = tuple(Bundle(tuple(row), pay) for row, pay in zip(fractions.tolist(), payments))
     return Allocation(bundles, float(revenue(budgets, desire_)))

@@ -15,12 +15,13 @@ pivot.  Bland's rule cannot cycle and every nondegenerate pivot strictly
 improves the objective, so the method terminates.  Every choice is a fixed
 function of the tableau, so the solver is deterministic for a fixed input.
 
-``solve_lp`` runs both phases on every problem, including one without rows
-or without artificial variables: phase 1 then ends at once with a residual
-of 0.  ``LiveTableau`` skips phase 1 when the caller knows a feasible basis,
-and keeps its tableau between solves so that columns can be added: column
-generation then continues phase 2 from the previous optimum, whose basis
-stays feasible when columns are added.
+Every LP runs on one ``Tableau`` and its ``solve``: phase 1, then phase 2.
+A caller that knows part of a feasible basis names it as a crash start, and
+phase 1 covers only the rows it leaves out; with none left out, phase 1 ends
+at once with no pivots.  The tableau outlives its solves and takes new
+columns between them: column generation then continues phase 2 from the
+previous optimum, whose basis stays feasible when columns are added.
+``solve_lp`` solves a problem on a fresh tableau with no crash start.
 
 An optimal solution carries the row duals too.  They are read off the final
 tableau: the columns of the starting identity basis (each row's slack or
@@ -121,11 +122,22 @@ class LpSolution:
     duals: tuple[float, ...] = ()
 
 
-class _Tableau:
+class Tableau:
     """Standard-form tableau: original variables, then slacks/surpluses, then
-    artificials, then the rhs; rows already normalized to non-negative rhs."""
+    artificials, then the rhs; rows already normalized to non-negative rhs.
 
-    def __init__(self, problem: LpProblem):
+    It outlives its solves and takes new columns between them.  ``rows[i]``
+    starts with original column ``columns[i]`` basic (a crash start); every
+    other row keeps its slack or artificial, which phase 1 drives out.  Each
+    named column must be a unit vector on the named rows, 1 in its own, so
+    the start is one elimination, not a pivot per row; it must leave every
+    right-hand side non-negative.  The starting identity columns keep holding
+    the basis inverse, so a new column's entries are that inverse times the
+    column.  Added columns follow the problem's variables in ``x``, in the
+    order they were added.
+    """
+
+    def __init__(self, problem: LpProblem, rows=(), columns=()):
         m, n = problem.A.shape
         flip = problem.b < 0
         rel = problem.relations
@@ -146,11 +158,25 @@ class _Tableau:
         basis = np.empty(m, dtype=np.intp)
         basis[slack_rows] = slack_cols  # every <= row keeps its slack basic
         basis[art_rows] = art_cols
+        self.identity = basis.copy()  # row r's column of the starting identity basis
+
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        if not np.array_equal(T[np.ix_(rows, columns)], np.eye(rows.size)):
+            raise ValueError("each starting column must be a unit vector on the named rows")
+        others = np.ones(m, dtype=bool)
+        others[rows] = False
+        touched = np.flatnonzero(others & T[:, columns].any(axis=1))
+        T[touched] -= T[np.ix_(touched, columns)] @ T[rows]
+        if (T[:, -1] < -FEASIBILITY_TOL).any():
+            raise ValueError("the starting basis is infeasible")
+        basis[rows] = columns
 
         self.T = T
         self.basis = basis
-        self.identity = basis.copy()  # row r's column of the starting identity basis
         self.sign = sign
+        self.cost = np.zeros(n + n_slack)
+        self.cost[:n] = problem.c
         self.n_original = n
         self.n_structural = n + n_slack
         self.pivots = [0, 0]  # per phase; artificials leaving the basis count in phase 1
@@ -245,12 +271,35 @@ class _Tableau:
             self.T = self.T[keep]
             self.basis = self.basis[keep]
 
-    def phase_two(self, objective: np.ndarray) -> bool:
-        """Maximize the objective; False when it is unbounded."""
-        self.phase = 1
-        self.cost = np.zeros(self.n_structural)
-        self.cost[: self.n_original] = objective
-        return self._run_simplex(self.cost)
+    def add_columns(self, c, A) -> None:
+        """Append variables with objective ``c`` and constraint columns ``A``
+        (one row per problem row); the current basis stays feasible."""
+        A = np.asarray(A, dtype=float)
+        entries = self.T[:, self.identity] @ (A * self.sign[:, None])
+        n, added = self.n_original, entries.shape[1]
+        self.T = np.concatenate((self.T[:, :n], entries, self.T[:, n:]), axis=1)
+        self.basis[self.basis >= n] += added
+        self.identity += added
+        self.n_original += added
+        self.n_structural += added
+        self.cost = np.concatenate((self.cost[:n], c, self.cost[n:]))
+
+    def solve(self) -> LpSolution:
+        """Solve from the current basis; status is optimal, infeasible, or
+        unbounded.  The first call runs phase 1, which ends at once with no
+        pivots when no artificial is basic, and then phase 2; a later call,
+        after ``add_columns``, continues phase 2 from the previous optimum.
+
+        On an optimal status ``x`` is a basic feasible solution: it satisfies
+        every constraint within ``FEASIBILITY_TOL`` and has at most as many
+        positive entries as the standard-form tableau has rows.
+        """
+        if not self.phase:
+            if self.phase_one() > FEASIBILITY_TOL:
+                return self.result(INFEASIBLE)
+            self.drop_artificials()
+            self.phase = 1
+        return self.result(OPTIMAL if self._run_simplex(self.cost) else UNBOUNDED)
 
     def result(self, status: str) -> LpSolution:
         counts = dict(phase1_pivots=self.pivots[0], phase2_pivots=self.pivots[1],
@@ -269,76 +318,14 @@ class _Tableau:
                           duals=tuple(duals.tolist()))
 
 
-class LiveTableau(_Tableau):
-    """Phase 2 on one tableau that outlives its solves: it starts from a
-    feasible basis the caller names and takes new columns between solves.
-
-    ``rows[i]`` starts with original column ``columns[i]`` basic; every other
-    row keeps its slack, so it must be a ``<=`` row after the sign
-    normalisation.  Each named column must be a unit vector on the named
-    rows, 1 in its own, so the start is one elimination, not a pivot per row;
-    it must leave every right-hand side non-negative, since no phase 1 runs.
-    The starting identity columns keep holding the basis inverse, so a new
-    column's entries are that inverse times the column, and the duals are
-    read as ``solve_lp`` reads them.  Added columns follow the problem's
-    variables in ``x``, in the order they were added.
-    """
-
-    def __init__(self, problem: LpProblem, rows, columns):
-        super().__init__(problem)
-        rows = np.asarray(rows, dtype=np.intp)
-        columns = np.asarray(columns, dtype=np.intp)
-        T = self.T
-        if not np.array_equal(T[np.ix_(rows, columns)], np.eye(rows.size)):
-            raise ValueError("each starting column must be a unit vector on the named rows")
-        others = np.ones(T.shape[0], dtype=bool)
-        others[rows] = False
-        if (self.basis[others] >= self.n_structural).any():
-            raise ValueError("a row without a starting column needs a <= slack")
-        touched = np.flatnonzero(others & T[:, columns].any(axis=1))
-        T[touched] -= T[np.ix_(touched, columns)] @ T[rows]
-        if (T[:, -1] < -FEASIBILITY_TOL).any():
-            raise ValueError("the starting basis is infeasible")
-        self.basis[rows] = columns
-        self.objective = problem.c
-
-    def add_columns(self, c, A) -> None:
-        """Append variables with objective ``c`` and constraint columns ``A``
-        (one row per problem row); the current basis stays feasible."""
-        A = np.asarray(A, dtype=float)
-        entries = self.T[:, self.identity] @ (A * self.sign[:, None])
-        n, added = self.n_original, entries.shape[1]
-        self.T = np.concatenate((self.T[:, :n], entries, self.T[:, n:]), axis=1)
-        self.basis[self.basis >= n] += added
-        self.identity += added
-        self.n_original += added
-        self.n_structural += added
-        self.objective = np.concatenate((self.objective, c))
-
-    def solve(self) -> LpSolution:
-        """Continue phase 2 from the current basis; optimal or unbounded."""
-        return self.result(OPTIMAL if self.phase_two(self.objective) else UNBOUNDED)
-
-
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve ``problem``; status is optimal, infeasible, or unbounded.
-
-    On an optimal status the returned ``x`` is a basic feasible solution: it
-    satisfies every constraint within ``FEASIBILITY_TOL`` and has at most as
-    many positive entries as the standard-form tableau has rows.
-    """
-    tab = _Tableau(problem)
-    if tab.phase_one() > FEASIBILITY_TOL:
-        return tab.result(INFEASIBLE)
-    tab.drop_artificials()
-    if not tab.phase_two(problem.c):
-        return tab.result(UNBOUNDED)
-    return tab.result(OPTIMAL)
+    """Solve ``problem`` on a fresh tableau; see ``Tableau.solve``."""
+    return Tableau(problem).solve()
 
 
 def check_feasible(problem: LpProblem) -> bool:
     """Phase-1 only: does a feasible point exist (within tolerance)?"""
-    return _Tableau(problem).phase_one() <= FEASIBILITY_TOL
+    return Tableau(problem).phase_one() <= FEASIBILITY_TOL
 
 
 def constraint_residuals(problem: LpProblem, x) -> list[float]:

@@ -22,12 +22,12 @@ with a buyers-by-columns mask of who wants what.  That mask is decided once,
 in the instance's own money, so the LP and ``shard_revenue`` agree on every
 buyer.  Each round adds the two best columns of every dataset whose reduced
 cost exceeds ``lp.PIVOT_TOL``; when none does, the master's optimum is the
-full program's.  Unlike every other LP here, the masters do not go through
-``lp.solve_lp``: they share one ``lp.LiveTableau``, started from the basis of
-the budget and desire slacks and the median columns, which is feasible, so
-no phase 1 runs; each round's columns join that tableau and phase 2
-continues from the previous optimum.  Slopes come back as the buyers' own
-values, by index, never multiplied by the scale.
+full program's.  The masters share one ``lp.Tableau``, crash-started from
+the basis of the budget and desire slacks and the median columns, which is
+feasible, so its phase 1 ends at once with no pivots; each round's columns
+join that tableau and phase 2 continues from the previous optimum.  Slopes
+come back as the buyers' own values, by index, never multiplied by the
+scale.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _rounds(market: _Market):
     in_master[columns] = True
     # each median starts basic in its dataset's sum row: the budget and
     # desire slacks then hold b_i >= 0 and the desire at the medians >= 0
-    master = lp.LiveTableau(_build(market, columns), 2 * k + np.arange(m), np.arange(m))
+    master = lp.Tableau(_build(market, columns), 2 * k + np.arange(m), np.arange(m))
     while True:
         solution = master.solve()
         if solution.status != lp.OPTIMAL:

@@ -262,6 +262,23 @@ def test_validate_gaussian(capsys):
     assert abs(doc["z_score"]) <= 5.0
 
 
+# each asks for more than 2**56 bytes, which no 64-bit host can map, so the
+# allocation fails at once whatever the overcommit setting
+@pytest.mark.parametrize("argv", [
+    ["validate-gaussian", "--tau0", "1", "--tau", "1", "--counts", "1000000000000",
+     "--trials", "12500"],
+    ["solve-linear", "--method", "cgreedy", "--samples", "10000000000000000"],
+])
+def test_an_input_too_large_to_allocate_is_a_one_line_error(capsys, suboptimal_path, argv):
+    if argv[0] == "solve-linear":
+        argv = argv + ["--instance", suboptimal_path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(suboptimal_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve-linear", "--instance", suboptimal_path, "--method", "exact", "--bogus"])

@@ -86,7 +86,7 @@ def test_degenerate_fallback_engages_and_terminates():
 def test_repeated_solves_are_identical():
     problem = build_pricing_lp(gen_random(20, 10, seed=3))
     first, second = lp.solve_lp(problem), lp.solve_lp(problem)
-    assert first == second  # x, basis and pivot counts alike
+    assert first == second  # x, duals and pivot counts alike
 
 
 def test_pivot_count_guard():
@@ -205,7 +205,7 @@ def test_a_redundant_equality_row_is_dropped_with_dual_zero():
     # after phase 1 with no real column to pivot on, and the row is dropped
     problem = make([1.0, 1.0], [((1.0, 1.0), "=", 1.0), ((1.0, 1.0), "=", 1.0),
                                 ((1.0, 0.0), "<=", 0.7)])
-    tab = lp._Tableau(problem)
+    tab = lp.Tableau(problem)
     assert tab.phase_one() == 0.0
     tab.drop_artificials()
     assert tab.T.shape[0] == 2
@@ -220,7 +220,7 @@ def test_a_redundant_equality_row_is_dropped_with_dual_zero():
 def test_live_tableau_matches_a_cold_solve_as_columns_arrive():
     # x0 + x1 = 1, x1 + x2 <= 0.5, x0 - x2 <= 1.2; x0 starts basic in row 0
     rows = [((1.0, 1.0), "=", 1.0), ((0.0, 1.0), "<=", 0.5), ((1.0, 0.0), "<=", 1.2)]
-    live = lp.LiveTableau(make([1.0, 2.0], rows), [0], [0])
+    live = lp.Tableau(make([1.0, 2.0], rows), [0], [0])
     first = live.solve()
     assert first.status == lp.OPTIMAL
     assert first.objective_value == pytest.approx(1.5)
@@ -237,9 +237,74 @@ def test_live_tableau_matches_a_cold_solve_as_columns_arrive():
 
 @pytest.mark.parametrize("rows, basis_rows, basis_columns, message", [
     ([((1.0, 1.0), "=", 1.0), ((2.0, 0.0), "=", 1.0)], [0, 1], [0, 1], "unit vector"),
-    ([((1.0, 1.0), "=", 1.0), ((1.0, 0.0), ">=", 0.5)], [0], [1], "slack"),
     ([((1.0, 1.0), "=", 1.0), ((0.0, 1.0), "<=", 0.5)], [0], [1], "infeasible"),
 ])
 def test_live_tableau_rejects_a_bad_starting_basis(rows, basis_rows, basis_columns, message):
     with pytest.raises(ValueError, match=message):
-        lp.LiveTableau(make([1.0, 1.0], rows), basis_rows, basis_columns)
+        lp.Tableau(make([1.0, 1.0], rows), basis_rows, basis_columns)
+
+
+def test_a_crash_start_on_some_rows_matches_solve_lp():
+    # x1 starts basic in the first = row; the second = row and the >= row
+    # keep their artificials, which phase 1 drives out
+    problem = make([1.0, 2.0, 0.5], [((1.0, 1.0, 0.0), "=", 1.0),
+                                     ((1.0, 0.0, 1.0), "=", 0.8),
+                                     ((1.0, 0.0, 0.0), ">=", 0.5)])
+    sol = lp.Tableau(problem, [0], [1]).solve()
+    cold = lp.solve_lp(problem)
+    assert sol.status == lp.OPTIMAL
+    assert sol.phase1_pivots > 0
+    assert sol.x == pytest.approx(cold.x, abs=1e-12)
+    assert sol.x == pytest.approx((0.5, 0.5, 0.3), abs=1e-12)
+    assert sol.duals == pytest.approx(cold.duals, abs=1e-12)
+
+
+def _random_problem_with_private_columns(rng):
+    """Shared variables, then one private variable per ``=`` row: a unit
+    column, 1 in its row and 0 in every other.  The other rows are slack
+    rows after the sign normalisation, and sometimes a ``>=`` row that needs
+    an artificial.  Returns the problem, the number of shared variables, the
+    number of ``=`` rows and whether any row needs an artificial besides
+    them."""
+    n, k = rng.randint(1, 4), rng.randint(1, 3)
+    rows = []
+    for r in range(k):
+        private = tuple(1.0 if i == r else 0.0 for i in range(k))
+        shared = tuple(rng.uniform(-1, 2) for _ in range(n))
+        rows.append((shared + private, "=", rng.uniform(0, 2)))
+    artificial = False
+    for _ in range(rng.randint(0, 3)):
+        shared = tuple(rng.uniform(-1, 2) for _ in range(n))
+        kind = rng.random()
+        if kind < 0.4:
+            rows.append((shared + (0.0,) * k, "<=", rng.uniform(0, 2)))
+        elif kind < 0.8:  # normalised to a <= row with a positive rhs
+            rows.append((shared + (0.0,) * k, ">=", rng.uniform(-2, -0.01)))
+        else:
+            rows.append((shared + (0.0,) * k, ">=", rng.uniform(0.01, 1)))
+            artificial = True
+    if rng.random() < 0.8:  # keep the region bounded
+        for i in range(n):
+            bound = tuple(1.0 if c == i else 0.0 for c in range(n + k))
+            rows.append((bound, "<=", rng.uniform(0.5, 3.0)))
+    return make(tuple(rng.uniform(-1, 2) for _ in range(n + k)), rows), n, k, artificial
+
+
+def test_a_crash_start_on_private_columns_matches_solve_lp():
+    rng = random.Random(15)
+    solved = full = 0
+    for _ in range(200):
+        problem, n, k, artificial = _random_problem_with_private_columns(rng)
+        rows = sorted(rng.sample(range(k), rng.randint(0, k)))
+        sol = lp.Tableau(problem, rows, [n + r for r in rows]).solve()
+        cold = lp.solve_lp(problem)
+        assert sol.status == cold.status
+        if sol.status != lp.OPTIMAL:
+            continue
+        solved += 1
+        assert sol.objective_value == pytest.approx(cold.objective_value, rel=1e-9, abs=1e-12)
+        assert max(lp.constraint_residuals(problem, sol.x), default=0.0) <= 1e-7
+        if len(rows) == k and not artificial:
+            assert sol.phase1_pivots == 0
+            full += 1
+    assert solved > 100 and full > 20  # both kinds of start actually ran
