@@ -18,10 +18,14 @@ function of the tableau, so the solver is deterministic for a fixed input.
 Every LP runs on one ``Tableau`` and its ``solve``: phase 1, then phase 2.
 A caller that knows part of a feasible basis names it as a crash start, and
 phase 1 covers only the rows it leaves out; with none left out, phase 1 ends
-at once with no pivots.  The tableau outlives its solves and takes new
-columns between them: column generation then continues phase 2 from the
-previous optimum, whose basis stays feasible when columns are added.
-``solve_lp`` solves a problem on a fresh tableau with no crash start.
+at once with no pivots.  ``Tableau.crash`` makes such a start by one
+elimination, not a pivot per row.  The constructor calls it, and a caller
+may call it again to extend the basis from the right-hand sides the first
+crash left.  A crash counts as no pivot, so the pivot counts cover only the
+simplex.  The tableau outlives its solves and takes new columns between
+them: column generation then continues phase 2 from the previous optimum,
+whose basis stays feasible when columns are added.  ``solve_lp`` solves a
+problem on a fresh tableau with no crash start.
 
 An optimal solution carries the row duals too.  They are read off the final
 tableau: the columns of the starting identity basis (each row's slack or
@@ -127,14 +131,12 @@ class Tableau:
     artificials, then the rhs; rows already normalized to non-negative rhs.
 
     It outlives its solves and takes new columns between them.  ``rows[i]``
-    starts with original column ``columns[i]`` basic (a crash start); every
-    other row keeps its slack or artificial, which phase 1 drives out.  Each
-    named column must be a unit vector on the named rows, 1 in its own, so
-    the start is one elimination, not a pivot per row; it must leave every
-    right-hand side non-negative.  The starting identity columns keep holding
-    the basis inverse, so a new column's entries are that inverse times the
-    column.  Added columns follow the problem's variables in ``x``, in the
-    order they were added.
+    starts with original column ``columns[i]`` basic (a crash start, made by
+    ``crash``); every other row keeps its slack or artificial, which phase 1
+    drives out.  The starting identity columns keep holding the basis
+    inverse, so a new column's entries are that inverse times the column.
+    Added columns follow the problem's variables in ``x``, in the order they
+    were added.
     """
 
     def __init__(self, problem: LpProblem, rows=(), columns=()):
@@ -160,18 +162,6 @@ class Tableau:
         basis[art_rows] = art_cols
         self.identity = basis.copy()  # row r's column of the starting identity basis
 
-        rows = np.asarray(rows, dtype=np.intp)
-        columns = np.asarray(columns, dtype=np.intp)
-        if not np.array_equal(T[np.ix_(rows, columns)], np.eye(rows.size)):
-            raise ValueError("each starting column must be a unit vector on the named rows")
-        others = np.ones(m, dtype=bool)
-        others[rows] = False
-        touched = np.flatnonzero(others & T[:, columns].any(axis=1))
-        T[touched] -= T[np.ix_(touched, columns)] @ T[rows]
-        if (T[:, -1] < -FEASIBILITY_TOL).any():
-            raise ValueError("the starting basis is infeasible")
-        basis[rows] = columns
-
         self.T = T
         self.basis = basis
         self.sign = sign
@@ -182,6 +172,27 @@ class Tableau:
         self.pivots = [0, 0]  # per phase; artificials leaving the basis count in phase 1
         self.phase = 0
         self.degenerate_pivots = 0
+        self.crash(rows, columns)
+
+    def crash(self, rows, columns) -> None:
+        """Make ``columns[i]`` basic in ``rows[i]`` by one elimination, counted
+        as no pivot.  Each column must be a unit vector on the named rows, 1
+        in its own, and the new basis must leave every right-hand side
+        non-negative (within ``FEASIBILITY_TOL``); otherwise ``ValueError``
+        is raised before the tableau changes."""
+        T = self.T
+        rows = np.asarray(rows, dtype=np.intp)
+        columns = np.asarray(columns, dtype=np.intp)
+        if not np.array_equal(T[np.ix_(rows, columns)], np.eye(rows.size)):
+            raise ValueError("each starting column must be a unit vector on the named rows")
+        others = np.ones(T.shape[0], dtype=bool)
+        others[rows] = False
+        touched = np.flatnonzero(others & T[:, columns].any(axis=1))
+        eliminated = T[touched] - T[np.ix_(touched, columns)] @ T[rows]
+        if (eliminated[:, -1] < -FEASIBILITY_TOL).any():
+            raise ValueError("the starting basis is infeasible")
+        T[touched] = eliminated
+        self.basis[rows] = columns
 
     def _pivot(self, row: int, col: int, reduced: np.ndarray | None = None) -> None:
         """Pivot in place, touching only the rows the pivot column reaches."""

@@ -61,10 +61,11 @@ class Instance:
 
     @classmethod
     def make(cls, budgets, values) -> "Instance":
-        """Build and validate an Instance from plain sequences."""
+        """Build and validate an Instance from plain sequences; -0.0 reads
+        as 0.0, as it does in a file."""
         inst = cls(
-            tuple(float(b) for b in budgets),
-            tuple(tuple(float(v) for v in row) for row in values),
+            tuple(float(b) + 0.0 for b in budgets),
+            tuple(tuple(float(v) + 0.0 for v in row) for row in values),
         )
         problems = validate_instance(inst)
         if problems:

@@ -24,10 +24,15 @@ buyer.  Each round adds the two best columns of every dataset whose reduced
 cost exceeds ``lp.PIVOT_TOL``; when none does, the master's optimum is the
 full program's.  The masters share one ``lp.Tableau``, crash-started from
 the basis of the budget and desire slacks and the median columns, which is
-feasible, so its phase 1 ends at once with no pivots; each round's columns
-join that tableau and phase 2 continues from the previous optimum.  Slopes
-come back as the buyers' own values, by index, never multiplied by the
-scale.
+feasible, so its phase 1 ends at once with no pivots.  A second crash then
+starts it at round 1's optimum, ``r_i = min(b_i, D_i)`` with ``D_i`` the
+desire at the medians: each revenue column becomes basic in its desire row
+when ``D_i < b_i - lp.PIVOT_TOL`` and in its budget row otherwise, the row
+the simplex's ratio test would pick, so round 1 takes no pivot and lands on
+the tableau pivoting would reach.  Each later round's columns join that
+tableau and phase 2 continues from the previous optimum; the pivot counts
+cover those simplex pivots only.  Slopes come back as the buyers' own
+values, by index, never multiplied by the scale.
 """
 
 from __future__ import annotations
@@ -76,14 +81,18 @@ class _Market:
     def of(cls, inst: Instance, scale: float) -> "_Market":
         values = value_array(inst)
         budgets = np.array(inst.budgets, dtype=float)
-        per_dataset = [np.array(sorted(set(column.tolist()))) for column in values.T]
-        counts = [d.size for d in per_dataset]
-        distinct = np.concatenate(per_dataset)
-        dataset = np.repeat(np.arange(inst.m), counts)
+        # each dataset's values ascending, datasets as rows; an entry is
+        # distinct when it differs from the one before it
+        ordered = np.sort(values, axis=0).T
+        first = np.ones(ordered.shape, dtype=bool)
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+        distinct = ordered[first]
+        dataset = np.nonzero(first)[0]
+        starts = np.searchsorted(dataset, np.arange(inst.m + 1))
         # infinite budgets never bind; zero budgets never pay
         payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
         return cls(interested(values[:, dataset], distinct), budgets / scale, payers,
-                   distinct, distinct / scale, dataset, np.cumsum([0] + counts))
+                   distinct, distinct / scale, dataset, starts)
 
 
 def _money_scale(inst: Instance) -> float:
@@ -169,6 +178,12 @@ def _rounds(market: _Market):
     # each median starts basic in its dataset's sum row: the budget and
     # desire slacks then hold b_i >= 0 and the desire at the medians >= 0
     master = lp.Tableau(_build(market, columns), 2 * k + np.arange(m), np.arange(m))
+    # round 1's optimum is r_i = min(b_i, D_i): each revenue column enters
+    # the row the ratio test would pick, the budget row (the lower slack) on
+    # a tie within the pivot tolerance
+    budget, desire = master.T[:k, -1], master.T[k:2 * k, -1]
+    i = np.arange(k)
+    master.crash(np.where(desire < budget - lp.PIVOT_TOL, k + i, i), m + i)
     while True:
         solution = master.solve()
         if solution.status != lp.OPTIMAL:

@@ -244,6 +244,25 @@ def test_live_tableau_rejects_a_bad_starting_basis(rows, basis_rows, basis_colum
         lp.Tableau(make([1.0, 1.0], rows), basis_rows, basis_columns)
 
 
+def test_a_second_crash_keeps_both_checks():
+    # x0 + x1 <= 1, x1 <= 2, x0 <= 0.5; x0 starts basic in row 2
+    problem = make([1.0, 1.0], [((1.0, 1.0), "<=", 1.0), ((0.0, 1.0), "<=", 2.0),
+                                ((1.0, 0.0), "<=", 0.5)])
+    tableau = lp.Tableau(problem, [2], [0])
+    start = tableau.T.copy()
+    with pytest.raises(ValueError, match="unit vector"):
+        tableau.crash([0, 1], [1, 4])  # x1 has a 1 in row 1 beside row 1's slack
+    with pytest.raises(ValueError, match="infeasible"):
+        tableau.crash([1], [1])  # x1 = 2 leaves row 0 at 0.5 - 2
+    assert np.array_equal(tableau.T, start)
+    tableau.crash([0], [1])
+    sol = tableau.solve()
+    cold = lp.solve_lp(problem)
+    assert (sol.phase1_pivots, sol.phase2_pivots) == (0, 0)
+    assert sol.x == pytest.approx((0.5, 0.5), abs=1e-12)
+    assert sol.duals == pytest.approx(cold.duals, abs=1e-12)
+
+
 def test_a_crash_start_on_some_rows_matches_solve_lp():
     # x1 starts basic in the first = row; the second = row and the >= row
     # keep their artificials, which phase 1 drives out

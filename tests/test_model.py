@@ -82,6 +82,12 @@ def test_validate_ok():
     assert validate_instance(inst) == []
 
 
+def test_make_reads_negative_zero_as_zero():
+    inst = Instance.make([1.0, -0.0], [[-0.0, 1.0], [0.0, -0]])
+    numbers = inst.budgets + inst.values[0] + inst.values[1]
+    assert [math.copysign(1.0, x) for x in numbers] == [1.0] * 6
+
+
 def test_make_raises_on_bad_instance():
     with pytest.raises(ValidationError):
         Instance.make([1.0], [[float("nan")]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from datamarket import lp, plc_opt
-from datamarket.fixtures import gen_lingap, gen_nonsub, gen_random, gen_sepgap
+from datamarket.fixtures import gen_lingap, gen_nonsub, gen_random, gen_sepgap, gen_vertex_cover
 from datamarket.linear_opt import exact_bruteforce
 from datamarket.model import Instance, prices_to_shardset
 from datamarket.plc_opt import (build_pricing_lp, extract_allocation, plc_solution_to_dict,
@@ -220,6 +220,80 @@ def test_every_warm_round_matches_a_cold_master(inst):
     assert sol.diagnostics["rounds"] == rounds
     assert sol.positive_shard_count <= inst.m + inst.n
     assert solve_plc(inst) == sol
+
+
+def _round_one_caps(market, columns):
+    """Each payer's budget and desire at the master's columns, scaled."""
+    payers = market.payers
+    return market.budgets[payers], market.wants[payers][:, columns] @ market.slopes[columns]
+
+
+def _crash_cases():
+    yield from _warm_start_cases()
+    base = gen_random(12, 5, seed=9, budget_scale=4.0)
+    low = [[1e-3] * base.m]  # below every median: no desire at the medians
+    yield "a-zero-desire", Instance.make([1.0] + list(base.budgets), low + list(base.values))
+    yield "zero-desires-past-the-bland-switch", Instance.make(
+        [1.0] * 25 + list(base.budgets), low * 25 + list(base.values))
+    market = plc_opt._Market.of(base, 1.0)
+    _, desire = _round_one_caps(market, (market.starts[:-1] + market.starts[1:] - 1) // 2)
+    yield "a-budget-tied-with-its-desire", Instance.make(
+        [desire[0] * (1 + 1e-11)] + list(base.budgets[1:]), base.values)
+    yield "infinite-and-zero-budgets", Instance.make(
+        [math.inf, 0.0, math.inf] + list(base.budgets[3:]), base.values)
+
+
+@pytest.mark.parametrize("name, inst", list(_crash_cases()),
+                         ids=[name for name, _ in _crash_cases()])
+def test_round_one_crash_lands_where_pivoting_does(name, inst):
+    """Round 1 starts with every revenue column crashed into its budget or
+    desire row.  It takes no pivot and reaches, bit for bit, the optimum the
+    simplex reaches from the medians alone, one pivot per revenue column."""
+    market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
+    k, m = market.payers.size, inst.m
+    columns, crashed = next(plc_opt._rounds(market))
+    medians_only = lp.Tableau(plc_opt._build(market, columns), 2 * k + np.arange(m), np.arange(m))
+    pivoted = medians_only.solve()
+    assert (crashed.phase1_pivots, crashed.phase2_pivots, crashed.degenerate_pivots) == (0, 0, 0)
+    assert pivoted.phase2_pivots == k
+    assert crashed.x == pivoted.x
+    assert crashed.duals == pivoted.duals
+    budget, desire = _round_one_caps(market, columns)
+    revenue = np.array(crashed.x[m:m + k])
+    assert np.abs(revenue - np.minimum(budget, desire)).max(initial=0.0) <= lp.PIVOT_TOL
+    # each extra case reaches the corner it is named for
+    reached = {
+        "a-zero-desire": (desire == 0.0).any(),
+        "zero-desires-past-the-bland-switch": pivoted.degenerate_pivots > lp._DEGENERATE_RUN,
+        "a-budget-tied-with-its-desire": ((desire < budget)
+                                          & (budget - desire <= lp.PIVOT_TOL)).any(),
+        "infinite-and-zero-budgets": k == inst.n - 3,
+    }
+    assert reached.get(name, True)
+
+
+def _repeated_values(seed):
+    inst = gen_random(15, 6, seed, budget_scale=4.0)
+    return Instance.make(inst.budgets, np.round(np.array(inst.values) * 4) / 4)
+
+
+@pytest.mark.parametrize("inst", [
+    *(_repeated_values(seed) for seed in range(3)),
+    gen_lingap(5), gen_sepgap(4, 3), gen_vertex_cover([(0, 1), (1, 2), (2, 0), (2, 3)]),
+])
+def test_one_sort_finds_each_datasets_distinct_values(inst):
+    per_dataset = [sorted(set(column)) for column in zip(*inst.values)]
+    market = plc_opt._Market.of(inst, 1.0)
+    assert max(len(values) for values in per_dataset) < inst.n  # values repeat
+    assert market.distinct.tolist() == [v for values in per_dataset for v in values]
+    assert market.dataset.tolist() == [j for j, values in enumerate(per_dataset) for _ in values]
+    assert market.starts.tolist() == np.cumsum([0] + [len(v) for v in per_dataset]).tolist()
+
+
+def test_a_negative_zero_value_prices_at_a_zero_slope():
+    sol = solve_plc(Instance.make([1.0, 1.0], [[-0.0, 1.0], [0.0, 2.0]]))
+    assert [math.copysign(1.0, slope) for curve in sol.shards for _, slope in curve.shards] == [
+        1.0, 1.0]
 
 
 @pytest.mark.parametrize("budgets, values, revenue", [
