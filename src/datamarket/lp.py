@@ -19,13 +19,14 @@ Every LP runs on one ``Tableau`` and its ``solve``: phase 1, then phase 2.
 A caller that knows part of a feasible basis names it as a crash start, and
 phase 1 covers only the rows it leaves out; with none left out, phase 1 ends
 at once with no pivots.  ``Tableau.crash`` makes such a start by one
-elimination, not a pivot per row.  The constructor calls it, and a caller
-may call it again to extend the basis from the right-hand sides the first
-crash left.  A crash counts as no pivot, so the pivot counts cover only the
-simplex.  The tableau outlives its solves and takes new columns between
-them: column generation then continues phase 2 from the previous optimum,
-whose basis stays feasible when columns are added.  ``solve_lp`` solves a
-problem on a fresh tableau with no crash start.
+elimination, not a pivot per row, and adds the start's right-hand sides in
+a fixed order.  The constructor calls it, and a caller may call it again to
+extend the basis from the right-hand sides the first crash left.  A crash
+counts as no pivot, so the pivot counts cover only the simplex.  The tableau
+outlives its solves and takes new columns between them: column generation
+then continues phase 2 from the previous optimum, whose basis stays feasible
+when columns are added.  ``solve_lp`` solves a problem on a fresh tableau
+with no crash start.
 
 An optimal solution carries the row duals too.  They are read off the final
 tableau: the columns of the starting identity basis (each row's slack or
@@ -41,6 +42,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .revenue import left_to_right
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -179,7 +182,9 @@ class Tableau:
         as no pivot.  Each column must be a unit vector on the named rows, 1
         in its own, and the new basis must leave every right-hand side
         non-negative (within ``FEASIBILITY_TOL``); otherwise ``ValueError``
-        is raised before the tableau changes."""
+        is raised before the tableau changes.  The new right-hand sides add
+        their terms left to right, in ``rows`` order, as ``revenue`` adds a
+        desire, not in the BLAS kernel's order."""
         T = self.T
         rows = np.asarray(rows, dtype=np.intp)
         columns = np.asarray(columns, dtype=np.intp)
@@ -188,7 +193,9 @@ class Tableau:
         others = np.ones(T.shape[0], dtype=bool)
         others[rows] = False
         touched = np.flatnonzero(others & T[:, columns].any(axis=1))
-        eliminated = T[touched] - T[np.ix_(touched, columns)] @ T[rows]
+        factors = T[np.ix_(touched, columns)]
+        eliminated = T[touched] - factors @ T[rows]
+        eliminated[:, -1] = T[touched, -1] - left_to_right(factors * T[rows, -1])
         if (eliminated[:, -1] < -FEASIBILITY_TOL).any():
             raise ValueError("the starting basis is infeasible")
         T[touched] = eliminated

@@ -22,29 +22,34 @@ with a buyers-by-columns mask of who wants what.  That mask is decided once,
 in the instance's own money, so the LP and ``shard_revenue`` agree on every
 buyer.  Each round adds the two best columns of every dataset whose reduced
 cost exceeds ``lp.PIVOT_TOL``; when none does, the master's optimum is the
-full program's.  The masters share one ``lp.Tableau``, crash-started from
-the basis of the budget and desire slacks and the median columns, which is
-feasible, so its phase 1 ends at once with no pivots.  A second crash then
-starts it at round 1's optimum, ``r_i = min(b_i, D_i)`` with ``D_i`` the
-desire at the medians: each revenue column becomes basic in its desire row
-when ``D_i < b_i - lp.PIVOT_TOL`` and in its budget row otherwise, the row
-the simplex's ratio test would pick, so round 1 takes no pivot and lands on
-the tableau pivoting would reach.  Each later round's columns join that
-tableau and phase 2 continues from the previous optimum; the pivot counts
-cover those simplex pivots only.  Slopes come back as the buyers' own
-values, by index, never multiplied by the scale.
+full program's.  Round 1's master, the medians alone, is solved in closed
+form and builds no tableau: its optimum is ``r_i = min(b_i, D_i)`` with
+``D_i`` the desire at the medians, each payer on her desire row when
+``D_i < b_i - lp.PIVOT_TOL`` and on her budget row otherwise, the row the
+simplex's ratio test would pick.  That row's dual is 1 and the other's 0,
+so round 1's pricing is an integer count of who wants each column times its
+slope, which does not depend on the BLAS kernel.  Only when a column enters
+is the master built, as one ``lp.Tableau`` that every later round shares:
+crash-started from the basis of the budget and desire slacks and the median
+columns, which is feasible, so its phase 1 ends at once with no pivots, and
+crashed again at round 1's optimum, each revenue column basic in the row
+round 1 chose, which is the tableau pivoting would reach.  Each round's
+columns join that tableau and phase 2 continues from the previous optimum;
+the pivot counts cover those simplex pivots only.  Slopes come back as the
+buyers' own values, by index, never multiplied by the scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import lp
 from .demand import optimal_demand
 from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet, shardset_to_dict
-from .revenue import interested, shard_revenue, value_array
+from .revenue import desires, interested, shard_revenue, value_array
 
 # Columns each round adds per dataset, at most.
 _ENTERING = 2
@@ -93,6 +98,11 @@ class _Market:
         payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
         return cls(interested(values[:, dataset], distinct), budgets / scale, payers,
                    distinct, distinct / scale, dataset, starts)
+
+    @cached_property
+    def medians(self) -> np.ndarray:
+        """Each dataset's median column, the master's first z columns."""
+        return (self.starts[:-1] + self.starts[1:] - 1) // 2
 
 
 def _money_scale(inst: Instance) -> float:
@@ -166,35 +176,74 @@ def _entering(market: _Market, reduced: np.ndarray, in_master: np.ndarray) -> np
     return ranked[rank < _ENTERING]
 
 
-def _rounds(market: _Market):
-    """Column generation on one live tableau.  Yields each round's master
-    columns (the medians, then each round's entering columns, in the order
-    the master's z variables hold them) and its optimum; the last one is
-    the full program's."""
+def _round_one(market: _Market) -> tuple[lp.LpSolution, np.ndarray]:
+    """Round 1's master, each dataset priced at its median, solved in closed
+    form, and which payers its optimum leaves on their desire.  The optimum
+    is ``r_i = min(b_i, D_i)`` with ``D_i`` the desire at the medians, added
+    left to right as ``lp.Tableau.crash`` adds it.  A payer is on her desire
+    when ``D_i < b_i - lp.PIVOT_TOL`` and on her budget otherwise, the row
+    the simplex's ratio test would pick (on a tie, the budget slack has the
+    lower index): that row's dual is 1 and the other's 0.  Each sum row's
+    dual zeroes its median's reduced cost.  ``x`` and the duals are laid out
+    as the master's."""
+    payers, medians = market.payers, market.medians
+    slopes, wanted = market.slopes[medians], market.wants[:, medians]
+    budget = market.budgets[payers]
+    desire = desires(wanted[payers], slopes)
+    on_desire = desire < budget - lp.PIVOT_TOL
+    revenues = np.where(on_desire, desire, budget)
+    weights = np.isinf(market.budgets).astype(float)
+    objective = float(revenues.sum() + slopes @ (weights @ wanted))
+    # 0/1 weights: who wants each median is an exact count in any order
+    weights[payers] = on_desire
+    duals = np.concatenate((1.0 - on_desire, on_desire, slopes * (weights @ wanted)))
+    x = np.concatenate((np.ones(medians.size), revenues))
+    solution = lp.LpSolution(lp.OPTIMAL, tuple(x.tolist()), objective,
+                             duals=tuple(duals.tolist()))
+    return solution, on_desire
+
+
+def _master(market: _Market, on_desire: np.ndarray) -> lp.Tableau:
+    """Round 1's master as a tableau at its optimum, where round 2 starts.
+    Each median is crashed basic in its dataset's sum row, which leaves the
+    budget and desire slacks at ``b_i >= 0`` and ``D_i >= 0``; then each
+    revenue column in its desire row where ``on_desire`` holds and in its
+    budget row otherwise."""
     k, m = market.payers.size, market.starts.size - 1
-    columns = (market.starts[:-1] + market.starts[1:] - 1) // 2  # the medians
+    master = lp.Tableau(_build(market, market.medians), 2 * k + np.arange(m), np.arange(m))
+    i = np.arange(k)
+    master.crash(np.where(on_desire, k + i, i), m + i)
+    return master
+
+
+def _rounds(market: _Market):
+    """Column generation.  Yields each round's master columns (the medians,
+    then each round's entering columns, in the order the master's z
+    variables hold them) and its optimum; the last one is the full
+    program's.  Round 1 is priced from its closed-form duals
+    (``_round_one``), whose pricing is an integer count of who wants each
+    column times its slope, so it does not depend on the BLAS kernel.  Only
+    when a column enters is the master built, as one tableau crashed at
+    round 1's optimum (``_master``); each later round's columns join it and
+    phase 2 continues from the previous optimum."""
+    columns = market.medians
     in_master = np.zeros(market.slopes.size, dtype=bool)
     in_master[columns] = True
-    # each median starts basic in its dataset's sum row: the budget and
-    # desire slacks then hold b_i >= 0 and the desire at the medians >= 0
-    master = lp.Tableau(_build(market, columns), 2 * k + np.arange(m), np.arange(m))
-    # round 1's optimum is r_i = min(b_i, D_i): each revenue column enters
-    # the row the ratio test would pick, the budget row (the lower slack) on
-    # a tie within the pivot tolerance
-    budget, desire = master.T[:k, -1], master.T[k:2 * k, -1]
-    i = np.arange(k)
-    master.crash(np.where(desire < budget - lp.PIVOT_TOL, k + i, i), m + i)
+    solution, on_desire = _round_one(market)
+    master = None
     while True:
-        solution = master.solve()
-        if solution.status != lp.OPTIMAL:
-            raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
         yield columns, solution
         entering = _entering(market, _reduced_costs(market, np.array(solution.duals)), in_master)
         if not entering.size:
             return
+        if master is None:
+            master = _master(market, on_desire)
         in_master[entering] = True
         columns = np.concatenate((columns, entering))
         master.add_columns(*_z_columns(market, entering))
+        solution = master.solve()
+        if solution.status != lp.OPTIMAL:
+            raise RuntimeError(f"pricing LP unexpectedly {solution.status}")
 
 
 def solve_plc(inst: Instance) -> PlcSolution:

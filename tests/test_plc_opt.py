@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_pricing_equals_full_lp_reduced_costs():
         inst = gen_random(20, 10, seed=5, budget_scale=budget_scale)
         inst = Instance.make([math.inf] + list(inst.budgets[1:]), inst.values)
         market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
-        medians = (market.starts[:-1] + market.starts[1:] - 1) // 2
+        medians = market.medians
         master = lp.solve_lp(plc_opt._build(market, medians))
         duals = np.array(master.duals)
         full = plc_opt._build(market, np.arange(market.slopes.size))
@@ -236,7 +237,7 @@ def _crash_cases():
     yield "zero-desires-past-the-bland-switch", Instance.make(
         [1.0] * 25 + list(base.budgets), low * 25 + list(base.values))
     market = plc_opt._Market.of(base, 1.0)
-    _, desire = _round_one_caps(market, (market.starts[:-1] + market.starts[1:] - 1) // 2)
+    _, desire = _round_one_caps(market, market.medians)
     yield "a-budget-tied-with-its-desire", Instance.make(
         [desire[0] * (1 + 1e-11)] + list(base.budgets[1:]), base.values)
     yield "infinite-and-zero-budgets", Instance.make(
@@ -246,12 +247,14 @@ def _crash_cases():
 @pytest.mark.parametrize("name, inst", list(_crash_cases()),
                          ids=[name for name, _ in _crash_cases()])
 def test_round_one_crash_lands_where_pivoting_does(name, inst):
-    """Round 1 starts with every revenue column crashed into its budget or
-    desire row.  It takes no pivot and reaches, bit for bit, the optimum the
-    simplex reaches from the medians alone, one pivot per revenue column."""
+    """The master round 2 starts from has every revenue column crashed into
+    its budget or desire row.  It takes no pivot and reaches, bit for bit,
+    the optimum the simplex reaches from the medians alone, one pivot per
+    revenue column."""
     market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
     k, m = market.payers.size, inst.m
-    columns, crashed = next(plc_opt._rounds(market))
+    columns = market.medians
+    crashed = plc_opt._master(market, plc_opt._round_one(market)[1]).solve()
     medians_only = lp.Tableau(plc_opt._build(market, columns), 2 * k + np.arange(m), np.arange(m))
     pivoted = medians_only.solve()
     assert (crashed.phase1_pivots, crashed.phase2_pivots, crashed.degenerate_pivots) == (0, 0, 0)
@@ -270,6 +273,57 @@ def test_round_one_crash_lands_where_pivoting_does(name, inst):
         "infinite-and-zero-budgets": k == inst.n - 3,
     }
     assert reached.get(name, True)
+
+
+def _closed_form_cases():
+    yield from _crash_cases()
+    for (n, m), budget_scale, seed in itertools.product(
+            [(10, 5), (20, 10), (40, 20), (60, 30)], (0.25, 1.0, 4.0, 16.0), range(3)):
+        yield (f"{n}x{m}-b{budget_scale:g}-seed{seed}",
+               gen_random(n, m, seed, budget_scale=budget_scale))
+
+
+@pytest.mark.parametrize("name, inst", list(_closed_form_cases()),
+                         ids=[name for name, _ in _closed_form_cases()])
+def test_round_one_in_closed_form_matches_the_crashed_tableau(name, inst):
+    """Round 1's closed-form optimum is the crashed master's: the same
+    vertex, the same 0/1 budget and desire duals, sum-row duals within two
+    ulps, and the same entering columns."""
+    market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
+    k = market.payers.size
+    closed, on_desire = plc_opt._round_one(market)
+    crashed = plc_opt._master(market, on_desire).solve()
+    assert crashed.phase2_pivots == 0
+    assert closed.x == crashed.x
+    assert closed.objective_value == pytest.approx(crashed.objective_value, rel=1e-12)
+    closed_duals, crashed_duals = np.array(closed.duals), np.array(crashed.duals)
+    assert np.isin(closed_duals[:2 * k], (0.0, 1.0)).all()
+    assert closed_duals[:2 * k].tolist() == crashed_duals[:2 * k].tolist()
+    np.testing.assert_array_max_ulp(closed_duals[2 * k:], crashed_duals[2 * k:], maxulp=2)
+    in_master = np.zeros(market.slopes.size, dtype=bool)
+    in_master[market.medians] = True
+    entering = [plc_opt._entering(market, plc_opt._reduced_costs(market, duals), in_master)
+                for duals in (closed_duals, crashed_duals)]
+    assert entering[0].tolist() == entering[1].tolist()
+
+
+def test_a_one_round_solve_builds_no_tableau(monkeypatch):
+    inst = gen_random(60, 30, 7034, budget_scale=0.25)  # a plc_ladder tail job
+    slack = gen_random(15, 6, 1, budget_scale=4.0)
+    want = solve_plc(inst)
+    assert want.diagnostics["rounds"] == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-round solve built a tableau")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lp, "Tableau", refuse)
+        patched.setattr(plc_opt, "_build", refuse)
+        assert solve_plc(inst) == want
+        with pytest.raises(AssertionError, match="built a tableau"):
+            solve_plc(slack)
+    assert solve_plc(slack).diagnostics["rounds"] > 1
+    assert solve_plc(slack) == solve_plc(slack)
 
 
 def _repeated_values(seed):
