@@ -29,6 +29,8 @@ class GaussianTask:
     def __post_init__(self):
         if not (self.prior_precision > 0 and math.isfinite(self.prior_precision)):
             raise ValueError("prior precision must be positive and finite")
+        if not math.isfinite(self.prior_mean):
+            raise ValueError("prior mean must be finite")
         if len(self.signal_precisions) != len(self.record_counts):
             raise ValueError("signal precisions and record counts must have equal length")
         for tau in self.signal_precisions:
@@ -37,6 +39,8 @@ class GaussianTask:
         for x in self.record_counts:
             if x < 0 or x != int(x):
                 raise ValueError("record counts must be non-negative integers")
+        if not math.isfinite(self.prior_precision + theoretical_gain(self)):
+            raise ValueError("total precision (prior plus records) must be finite")
 
 
 def theoretical_gain(task: GaussianTask) -> float:
@@ -54,22 +58,27 @@ def simulate_posterior_mse(task: GaussianTask, trials: int, seed: int) -> tuple[
     Per trial: draw the latent parameter from the prior, draw every record's
     signal, form the precision-weighted Bayes posterior mean, and accumulate
     its squared error.  Returns ``(empirical_mse, expected_variance)``;
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  Raises ValueError when a draw or the
+    MSE overflows, as it can for a prior mean or a precision near the
+    largest float.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     tau0 = task.prior_precision
-    theta = task.prior_mean + rng.standard_normal(trials) / math.sqrt(tau0)
-    weighted_signal_sum = np.zeros(trials)
-    for tau, count in zip(task.signal_precisions, task.record_counts):
-        if count == 0:
-            continue
-        noise = rng.standard_normal((trials, count)) / math.sqrt(tau)
-        weighted_signal_sum += tau * (theta[:, None] + noise).sum(axis=1)
-    total_precision = tau0 + theoretical_gain(task)
-    posterior_mean = (weighted_signal_sum + tau0 * task.prior_mean) / total_precision
-    empirical_mse = float(np.mean((posterior_mean - theta) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the MSE
+        theta = task.prior_mean + rng.standard_normal(trials) / math.sqrt(tau0)
+        weighted_signal_sum = np.zeros(trials)
+        for tau, count in zip(task.signal_precisions, task.record_counts):
+            if count == 0:
+                continue
+            noise = rng.standard_normal((trials, count)) / math.sqrt(tau)
+            weighted_signal_sum += tau * (theta[:, None] + noise).sum(axis=1)
+        total_precision = tau0 + theoretical_gain(task)
+        posterior_mean = (weighted_signal_sum + tau0 * task.prior_mean) / total_precision
+        empirical_mse = float(np.mean((posterior_mean - theta) ** 2))
+    if not math.isfinite(empirical_mse):
+        raise ValueError(f"the simulated MSE is {empirical_mse}: the draws overflow")
     return empirical_mse, 1.0 / total_precision
 
 

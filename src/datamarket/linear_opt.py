@@ -57,19 +57,19 @@ def _solution(inst: Instance, prices, method: str, diagnostics: dict,
     return LinearSolution(prices, partition, linear_revenue(inst, prices), method, diagnostics)
 
 
-def exact_bruteforce(inst: Instance, grid_cap: int = DEFAULT_GRID_CAP) -> LinearSolution:
+def exact_bruteforce(inst: Instance) -> LinearSolution:
     """Enumerate every price vector on the per-dataset value grids.
 
     Ties are broken toward the lexicographically smallest grid-index tuple.
-    Raises ValueError when the grid is larger than ``grid_cap``.
+    Raises ValueError when the grid is larger than ``DEFAULT_GRID_CAP``.
     """
     cands = [candidate_prices(inst, j) for j in range(inst.m)]
     active = [j for j in range(inst.m) if cands[j]]
     axes = [j for j in active if len(cands[j]) > 1]  # one grid axis per dataset with a choice
     shape = [len(cands[j]) for j in axes]
     grid_points = math.prod(shape)
-    if grid_points > grid_cap:
-        raise ValueError(f"price grid has {grid_points} points, exceeding cap {grid_cap}")
+    if grid_points > DEFAULT_GRID_CAP:
+        raise ValueError(f"price grid has {grid_points} points, exceeding cap {DEFAULT_GRID_CAP}")
 
     values = value_array(inst)
     gains = []  # what each buyer pays for an active dataset at its candidates, on its axis
@@ -175,13 +175,9 @@ def _copy_weights(inst: Instance) -> np.ndarray:
 
 
 def _sample_copy_choices(y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Per dataset, pick copy l with probability y[l, j] (n means no copy)."""
-    n, m = y.shape
-    out = np.empty(uniforms.shape, dtype=int)
-    for j in range(m):
-        cum = np.cumsum(y[:, j])
-        out[..., j] = np.searchsorted(cum, uniforms[..., j], side="right")
-    return out
+    """Per dataset, pick copy l with probability y[l, j] (n means no copy):
+    the number of ``y[:, j]``'s running totals at or below the draw."""
+    return (np.cumsum(y, axis=0) <= uniforms[..., None, :]).sum(axis=-2)
 
 
 def _sampled_marginals(budgets, W: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

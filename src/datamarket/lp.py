@@ -5,15 +5,19 @@ with each relation one of ``"<="``, ``"="``, ``">="``.  The solver returns an
 optimal basic feasible solution (a vertex of the feasible region) whenever
 the optimum is finite.
 
-Pivoting uses largest-coefficient pricing: the entering column is the one
-with the largest reduced cost, ties going to the lowest index, and the
-leaving row passes the minimum-ratio test, ties going to the lowest basic
-variable.  Largest-coefficient pricing can cycle on a degenerate vertex, so
-after ``_DEGENERATE_RUN`` consecutive degenerate pivots the entering column
-is chosen by Bland's lowest-index rule instead, until the next nondegenerate
-pivot.  Bland's rule cannot cycle and every nondegenerate pivot strictly
-improves the objective, so the method terminates.  Every choice is a fixed
-function of the tableau, so the solver is deterministic for a fixed input.
+A tableau is optimal when no reduced cost exceeds ``PIVOT_TOL``.  Otherwise
+the entering column is the one with the largest reduced cost, ties going to
+the lowest index (largest-coefficient pricing).  The leaving row is, among
+the rows whose entry in that column exceeds ``PIVOT_TOL`` and whose ratio
+lies within ``PIVOT_TOL`` of the minimum ratio, the one whose basic
+variable is lowest: Bland's leaving rule under a tolerance.
+Largest-coefficient pricing can cycle on a degenerate vertex, so after
+``_DEGENERATE_RUN`` consecutive degenerate pivots the entering column is the
+lowest-index one whose reduced cost exceeds ``PIVOT_TOL`` (Bland's entering
+rule) instead, until the next nondegenerate pivot.  Bland's rule cannot
+cycle and every nondegenerate pivot strictly improves the objective, so the
+method terminates.  Every choice is a fixed function of the tableau, so the
+solver is deterministic for a fixed input.
 
 Every LP runs on one ``Tableau`` and its ``solve``: phase 1, then phase 2.
 A caller that knows part of a feasible basis names it as a crash start, and
@@ -216,24 +220,16 @@ class Tableau:
         self.pivots[self.phase] += 1
 
     def _leaving_row(self, col: int) -> int:
-        """Minimum-ratio row for entering ``col``; ties within PIVOT_TOL go to
-        the lower basic variable.  -1 when no entry of the column is positive."""
-        T = self.T
-        column = T[:, col]
+        """Among the rows within PIVOT_TOL of the minimum ratio for entering
+        ``col``, the one whose basic variable is lowest: Bland's leaving rule
+        under a tolerance.  -1 when no entry of the column is positive."""
+        column = self.T[:, col]
         rows = np.flatnonzero(column > PIVOT_TOL)
-        ratios = T[rows, -1] / column[rows]
-        basis = self.basis
-        leaving = -1
-        best_ratio = math.inf
-        for r, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL
-                and leaving >= 0
-                and basis[r] < basis[leaving]
-            ):
-                best_ratio = ratio
-                leaving = r
-        return leaving
+        if not rows.size:
+            return -1
+        ratios = self.T[rows, -1] / column[rows]
+        tied = rows[ratios <= ratios.min() + PIVOT_TOL]
+        return int(tied[np.argmin(self.basis[tied])])
 
     def _run_simplex(self, cost: np.ndarray) -> bool:
         """Maximize cost.x over the tableau's first ``cost.size`` columns,
@@ -248,15 +244,11 @@ class Tableau:
         reduced[self.basis] = 0.0
         degenerate_run = 0
         while True:
-            if degenerate_run < _DEGENERATE_RUN:
-                entering = int(np.argmax(reduced))
-                if reduced[entering] <= PIVOT_TOL:
-                    return True
-            else:
-                improving = np.flatnonzero(reduced > PIVOT_TOL)
-                if not improving.size:
-                    return True
-                entering = int(improving[0])
+            entering = int(np.argmax(reduced))
+            if reduced[entering] <= PIVOT_TOL:
+                return True
+            if degenerate_run >= _DEGENERATE_RUN:  # Bland: the lowest improving column
+                entering = int(np.argmax(reduced > PIVOT_TOL))
             leaving = self._leaving_row(entering)
             if leaving < 0:
                 return False

@@ -13,14 +13,19 @@ finite and non-negative.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 #: Global comparison tolerance for money/fraction equalities.
 TOLERANCE = 1e-9
 
 INFINITY = math.inf
+
+#: Largest accepted total of an instance's values: half the largest float.
+MAX_VALUE_TOTAL = sys.float_info.max / 2
 
 
 class FormatError(ValueError):
@@ -94,6 +99,16 @@ def validate_instance(inst: Instance) -> list[str]:
                 problems.append(f"non-finite value at ({i}, {j})")
             elif v < 0:
                 problems.append(f"negative value at ({i}, {j})")
+    # every desire and revenue is at most the values' exact total, so with
+    # that total at most half the largest float no sum of them can overflow,
+    # in any order and with its rounding
+    if not problems:  # every value is finite and non-negative
+        try:
+            total = math.fsum(itertools.chain.from_iterable(inst.values))
+        except OverflowError:
+            total = INFINITY
+        if total > MAX_VALUE_TOTAL:
+            problems.append(f"values total more than {MAX_VALUE_TOTAL:g}, half the largest float")
     for i, b in enumerate(inst.budgets):
         if math.isnan(b) or b == -INFINITY:
             problems.append(f"invalid budget for buyer {i}")

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from datamarket.fixtures import gen_random
-from datamarket.linear_opt import candidate_prices
 from datamarket.model import Bundle, Instance, ShardCurve
 from datamarket.revenue import desires, interested, value_array
 
@@ -233,7 +232,7 @@ def greedy_prices_reference(inst: Instance, order, choose) -> list[float]:
     values = value_array(inst)
     prices = np.zeros(inst.m)
     for j in order:
-        cands = candidate_prices(inst, j)
+        cands = sorted({v for v in values[:, j].tolist() if v > 1e-9})  # the positive values
         if not cands:
             continue
         # row 0 keeps the current prices, row 1 + c tries candidate c

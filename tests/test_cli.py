@@ -279,6 +279,35 @@ def test_an_input_too_large_to_allocate_is_a_one_line_error(capsys, suboptimal_p
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-plc", "--allocate"],
+    ["solve-linear", "--method", "exact"],
+])
+def test_values_whose_total_could_overflow_are_a_one_line_error(capsys, tmp_path, argv):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"budgets": [1e308, 1e308],
+                                "values": [[1e308, 1e308], [1e308, 1e308]]}))
+    assert main(argv + ["--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: values total more than")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--tau", "1e308", "--counts", "2"], "total precision"),
+    (["--mean", "nan", "--tau", "1", "--counts", "2"], "prior mean must be finite"),
+    (["--mean", "1e308", "--tau", "1", "--counts", "2"], "the simulated MSE is inf"),
+])
+def test_validate_gaussian_overflow_is_a_one_line_error(capsys, flags, message):
+    # any warning fails the suite, so none may be printed on the way
+    assert main(["validate-gaussian", "--tau0", "1", "--trials", "10", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_flag_exits_2(suboptimal_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve-linear", "--instance", suboptimal_path, "--method", "exact", "--bogus"])

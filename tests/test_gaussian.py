@@ -38,6 +38,26 @@ def test_task_validation():
         GaussianTask(1.0, 0.0, (1.0, 2.0), (1,))
 
 
+@pytest.mark.parametrize("prior_mean", [math.nan, math.inf, -math.inf])
+def test_task_rejects_a_non_finite_prior_mean(prior_mean):
+    with pytest.raises(ValueError, match="prior mean must be finite"):
+        GaussianTask(1.0, prior_mean, (1.0,), (2,))
+
+
+def test_task_rejects_a_total_precision_that_overflows():
+    with pytest.raises(ValueError, match="total precision"):
+        GaussianTask(1.0, 0.0, (1e308,), (2,))
+
+
+@pytest.mark.parametrize("task", [
+    GaussianTask(1.0, 1e308, (1.0,), (2,)),  # the signal sum overflows
+    GaussianTask(1e-320, 0.0, (1.0,), (0,)),  # the prior draws' squares overflow
+])
+def test_a_simulation_that_overflows_raises(task):
+    with pytest.raises(ValueError, match="MSE is inf"):
+        simulate_posterior_mse(task, 10, seed=0)
+
+
 def test_expected_variance_quarter():
     task = GaussianTask(1.0, 0.0, (1.0,), (3,))
     assert expected_posterior_variance(task) == pytest.approx(0.25)

@@ -68,9 +68,9 @@ def test_exact_matches_independent_enumerator():
 
 
 def test_exact_grid_cap():
-    inst = gen_random(6, 6, seed=0)
-    with pytest.raises(ValueError, match="cap"):
-        exact_bruteforce(inst, grid_cap=10)
+    inst = gen_random(40, 4, seed=0)  # 40**4 = 2,560,000 grid points, past the cap
+    with pytest.raises(ValueError, match="2560000 points, exceeding cap 2000000"):
+        exact_bruteforce(inst)
 
 
 def test_exact_all_zero_values_price_zero():

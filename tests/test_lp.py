@@ -327,3 +327,44 @@ def test_a_crash_start_on_private_columns_matches_solve_lp():
             assert sol.phase1_pivots == 0
             full += 1
     assert solved > 100 and full > 20  # both kinds of start actually ran
+
+
+def _ratio_tableau(entries, rhs, basics):
+    """A tableau whose column 0 enters with ``entries`` down the rows, over
+    right-hand sides ``rhs``, with variable ``basics[r]`` basic in row ``r``.
+    Variables 1..k are private unit columns made basic by a crash start."""
+    k = len(rhs)
+    rows = [((a,) + tuple(1.0 if v == b else 0.0 for v in range(1, k + 1)), "=", r)
+            for a, r, b in zip(entries, rhs, basics)]
+    return lp.Tableau(make((0.0,) * (k + 1), rows), range(k), basics)
+
+
+def _leaving_row_reference(entries, rhs, basics):
+    """Bland's leaving rule under a tolerance, by brute force: among the rows
+    within PIVOT_TOL of the minimum ratio, the lowest basic variable."""
+    ratios = {r: rhs[r] / a for r, a in enumerate(entries) if a > lp.PIVOT_TOL}
+    if not ratios:
+        return -1
+    least = min(ratios.values())
+    return min((r for r, q in ratios.items() if q <= least + lp.PIVOT_TOL),
+               key=lambda r: basics[r])
+
+
+@pytest.mark.parametrize("rhs, basics", [
+    ((1.5e-9, 6e-10, 0.0), (1, 2, 3)),  # the scan took row 2, outside the order
+    ((0.0, 6e-10, 1.2e-9), (3, 2, 1)),  # the scan drifted to 1.2e-9 above the minimum
+])
+def test_near_tied_ratios_leave_by_the_lowest_basic_variable(rhs, basics):
+    tableau = _ratio_tableau((1.0, 1.0, 1.0), rhs, basics)
+    assert tableau._leaving_row(0) == 1
+
+
+def test_leaving_row_matches_the_stated_rule_on_permuted_bases():
+    rng = random.Random(18)
+    for _ in range(2000):
+        k = rng.randint(1, 6)
+        entries = [rng.choice((-1.0, 0.0, 5e-10, 0.25, 0.5, 1.0, 2.0)) for _ in range(k)]
+        rhs = [rng.choice((0.0, 1e-10)) + 4e-10 * rng.randint(0, 4) for _ in range(k)]
+        basics = rng.sample(range(1, k + 1), k)
+        tableau = _ratio_tableau(entries, rhs, basics)
+        assert tableau._leaving_row(0) == _leaving_row_reference(entries, rhs, basics)

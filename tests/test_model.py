@@ -4,6 +4,7 @@ import math
 import pytest
 
 from datamarket.model import (
+    MAX_VALUE_TOTAL,
     FormatError,
     Instance,
     ShardCurve,
@@ -80,6 +81,20 @@ def test_validate_reports_no_positive_budget():
 def test_validate_ok():
     inst = Instance.make([1, 2], [[1, 2], [3, 4]])
     assert validate_instance(inst) == []
+
+
+@pytest.mark.parametrize("values", [
+    [[1e308, 1e308], [1e308, 1e308]],  # the exact total overflows fsum itself
+    [[MAX_VALUE_TOTAL / 2, MAX_VALUE_TOTAL / 2], [0.0, 1e292]],  # finite, just past the bound
+])
+def test_make_rejects_values_whose_total_could_overflow(values):
+    with pytest.raises(ValidationError, match="values total more than 8.98847e[+]307"):
+        Instance.make([1e308, 1e308], values)
+
+
+def test_values_totalling_the_bound_are_accepted():
+    half = MAX_VALUE_TOTAL / 2
+    assert validate_instance(Instance((1e308, math.inf), ((half, 0.0), (0.0, half)))) == []
 
 
 def test_make_reads_negative_zero_as_zero():
