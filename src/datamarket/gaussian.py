@@ -57,17 +57,20 @@ def simulate_posterior_mse(task: GaussianTask, trials: int, seed: int) -> tuple[
 
     Per trial: draw the latent parameter from the prior, draw every record's
     signal, form the precision-weighted Bayes posterior mean, and accumulate
-    its squared error.  Returns ``(empirical_mse, expected_variance)``;
-    deterministic for a fixed seed.  Raises ValueError when a draw or the
-    MSE overflows, as it can for a prior mean or a precision near the
-    largest float.
+    its squared error.  The error does not depend on the prior mean, so the
+    parameter, the signals and the posterior mean are all drawn and formed
+    as offsets from it: a large prior mean would otherwise round the noise
+    away, and the result is that of a prior mean of 0, bit for bit.
+    Returns ``(empirical_mse, expected_variance)``; deterministic for a
+    fixed seed.  Raises ValueError when a draw or the MSE overflows, as it
+    can for a precision near the smallest or the largest float.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     tau0 = task.prior_precision
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the MSE
-        theta = task.prior_mean + rng.standard_normal(trials) / math.sqrt(tau0)
+        theta = rng.standard_normal(trials) / math.sqrt(tau0)
         weighted_signal_sum = np.zeros(trials)
         for tau, count in zip(task.signal_precisions, task.record_counts):
             if count == 0:
@@ -75,7 +78,7 @@ def simulate_posterior_mse(task: GaussianTask, trials: int, seed: int) -> tuple[
             noise = rng.standard_normal((trials, count)) / math.sqrt(tau)
             weighted_signal_sum += tau * (theta[:, None] + noise).sum(axis=1)
         total_precision = tau0 + theoretical_gain(task)
-        posterior_mean = (weighted_signal_sum + tau0 * task.prior_mean) / total_precision
+        posterior_mean = weighted_signal_sum / total_precision
         empirical_mse = float(np.mean((posterior_mean - theta) ** 2))
     if not math.isfinite(empirical_mse):
         raise ValueError(f"the simulated MSE is {empirical_mse}: the draws overflow")

@@ -60,6 +60,14 @@ def _solution(inst: Instance, prices, method: str, diagnostics: dict,
 def exact_bruteforce(inst: Instance) -> LinearSolution:
     """Enumerate every price vector on the per-dataset value grids.
 
+    Each buyer's desire over the grid adds the active datasets' gains in
+    index order from a ``0.0`` start, one axis at a time: the partial sum
+    over the datasets added so far spans only their axes.  From the dataset
+    of the last axis on, the sum spans the whole grid and goes into one
+    buffer that every buyer reuses.  Every grid point sees the same adds in
+    the same order as on a full grid, so the bits are the same, at about
+    one full-grid pass per buyer instead of one per active dataset.
+
     Ties are broken toward the lexicographically smallest grid-index tuple.
     Raises ValueError when the grid is larger than ``DEFAULT_GRID_CAP``.
     """
@@ -78,12 +86,15 @@ def exact_bruteforce(inst: Instance) -> LinearSolution:
         gain = np.where(interested(values[:, j, None], cj), cj, 0.0)
         gains.append(gain.reshape(inst.n, *(cj.size if k == j else 1 for k in axes)))
 
+    full_from = active.index(axes[-1]) if axes else 0  # the first gain over the whole grid
+
     def grid_desires():
+        desire = np.empty(shape)
         for i in range(inst.n):
-            desire = np.zeros(shape)
-            for gain in gains:
-                np.add(desire, gain[i], out=desire)
-            yield desire
+            partial = 0.0
+            for k, gain in enumerate(gains):
+                partial = np.add(partial, gain[i], out=desire if k >= full_from else None)
+            yield partial
 
     best = np.unravel_index(int(np.argmax(revenue(inst.budgets, grid_desires()))), shape)
     choice = dict(zip(axes, best))
@@ -180,20 +191,37 @@ def _sample_copy_choices(y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (np.cumsum(y, axis=0) <= uniforms[..., None, :]).sum(axis=-2)
 
 
+def _revenue_with_each_copy(budgets, W: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """Each sample's revenue with each copy added to its desires ``load``
+    (``samples x n*m``): one dense pass per buyer, ``load + W[i]``.  The pass
+    depends on a sample only through its ``load`` row, so it runs once per
+    distinct row (keyed by the row's bytes) into one buffer that every buyer
+    reuses, and the result is copied out to the samples that share the row.
+    """
+    slot = {}  # a row's bytes -> its index among the distinct rows, in first-seen order
+    inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in load]
+    distinct = load[np.unique(inverse, return_index=True)[1]]
+    desire = np.empty((len(distinct), W.shape[1]))
+    return revenue(budgets, (np.add(distinct[:, i, None], w, out=desire)
+                             for i, w in enumerate(W)))[inverse]
+
+
 def _sampled_marginals(budgets, W: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's revenue with and without each copy (``samples x n*m``).
 
     ``sel`` marks the copies each sample picked and ``load = sel @ W.T`` is
     every buyer's desire in each sample.  Leaving out a copy the sample did
     not pick subtracts ``+0.0``, which leaves ``load`` as it is, so the
-    revenue without it is the sample's own and the revenue with it needs one
-    dense pass per buyer, ``load + W[i]``.  Only the picked copies, at most
-    one per dataset and sample, take the desire with the copy left out,
-    ``load - W[i]``, and add the copy back; rounding makes that differ from
-    ``load``.  Every sum adds in buyer order through ``revenue``.
+    revenue without it is the sample's own and the revenue with it is
+    ``_revenue_with_each_copy``, one pass per distinct ``load`` row: the
+    first step, where no sample picks anything, prices one row.  Only the
+    picked copies, at most one per dataset and sample, take the desire with
+    the copy left out, ``load - W[i]``, and add the copy back; rounding makes
+    that differ from ``load``.  Every sum adds in buyer order through
+    ``revenue``.
     """
     load = sel @ W.T  # samples x n
-    r_with = revenue(budgets, (load[:, i, None] + w for i, w in enumerate(W)))
+    r_with = _revenue_with_each_copy(budgets, W, load)
     r_without = np.repeat(revenue(budgets, load.T)[:, None], sel.shape[1], axis=1)
     sample_idx, copy_idx = np.nonzero(sel)
     w = W[:, copy_idx]  # n x picked
@@ -233,14 +261,19 @@ def continuous_greedy(
         picked = choices < n
         sample_idx, dataset_idx = np.nonzero(picked)
         sel[sample_idx, choices[picked] * m + dataset_idx] = 1.0
-        r_with, r_without = _sampled_marginals(inst.budgets, W, sel)
-        gains = r_with - r_without  # each sample's marginal of each copy
+        # each sample's marginal of each copy; only this is kept into the next step
+        gains = np.subtract(*_sampled_marginals(inst.budgets, W, sel))
         marginal = gains.mean(axis=0)
         best = marginal.reshape(n, m).argmax(axis=0)  # the best copy per dataset
         y[best, np.arange(m)] += 1.0 / steps
         committed = best * m + np.arange(m)
         step_marginals.append(float(marginal[committed].sum()))
-        step_spreads.append(float(gains[:, committed].std(axis=0).max()))
+        spread = gains[:, committed]
+        # std squares deviations, which overflow past about 1e154, so it runs on
+        # the gains divided by the largest power of two not above their largest
+        # magnitude; scaling by a power of two is exact short of underflow
+        unit = np.ldexp(0.5, np.frexp(np.abs(spread).max())[1])
+        step_spreads.append(float((spread / unit).std(axis=0).max() * unit))
 
     best_part: tuple[int | None, ...] = (None,) * m
     best_rev = -math.inf

@@ -72,16 +72,22 @@ def revenue(budgets, buyer_desires):
     whose rows hold at most ``ACCUMULATE_ROWS`` entries is capped in one
     ``np.minimum`` and added over buyers by ``left_to_right``, which adds in
     the same sequence as the buyer loop and gives the same bits; generators
-    and longer rows go through the loop, which holds one capped row at a time.
+    and longer rows go through the loop, which adds each capped row into a
+    running total of its own from a ``0.0`` start; the capped row is freed
+    before the next row is asked for.  A generator may therefore yield the
+    same buffer for every buyer, and the result never aliases or changes a
+    row it was given.
     """
     if (isinstance(buyer_desires, np.ndarray)
             and math.prod(buyer_desires.shape[1:]) <= ACCUMULATE_ROWS):
         # .T puts the buyers last for the sum and gives the rows their shape back
         return left_to_right(np.minimum(budgets, buyer_desires.T)).T
-    total = 0.0
+    total = None
     for budget, desire in zip(budgets, buyer_desires):
-        total = total + np.minimum(budget, desire)
-    return total
+        if total is None:
+            total = np.zeros(np.shape(desire))
+        np.add(total, np.minimum(budget, desire), out=total)
+    return 0.0 if total is None else total
 
 
 def value_array(inst: Instance) -> np.ndarray:

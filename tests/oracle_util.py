@@ -218,6 +218,32 @@ def sampled_marginals_reference(budgets, W, sel):
     return r_with, r_without
 
 
+def exact_grid_reference(inst: Instance):
+    """``exact_bruteforce``'s revenue over the value grid, built the plain
+    way: each buyer starts at ``np.zeros(shape)`` and adds every active
+    dataset's gain over the whole grid in dataset order, then the capped
+    desires add in buyer order.  Returns the grid and the prices and owners
+    at its first best point (owner: the first buyer whose value is the
+    price)."""
+    values = np.array(inst.values, dtype=float).reshape(inst.n, inst.m)
+    cands = [sorted({v for v in values[:, j] if v > 1e-9}) for j in range(inst.m)]
+    active = [j for j in range(inst.m) if cands[j]]
+    axes = [j for j in active if len(cands[j]) > 1]
+    shape = tuple(len(cands[j]) for j in axes)
+    grid = 0.0
+    for i in range(inst.n):
+        desire = np.zeros(shape)
+        for j in active:
+            c = np.array(cands[j])
+            gain = np.where(values[i, j] >= c - 1e-9, c, 0.0)
+            desire = desire + gain.reshape([c.size if k == j else 1 for k in axes])
+        grid = grid + np.minimum(inst.budgets[i], desire)
+    point = dict(zip(axes, np.unravel_index(int(np.argmax(grid)), shape)))
+    prices = [cands[j][point.get(j, 0)] if cands[j] else 0.0 for j in range(inst.m)]
+    owners = [list(values[:, j]).index(p) if p > 0 else None for j, p in enumerate(prices)]
+    return grid, prices, owners
+
+
 def _loop_revenue(budgets, buyer_desires):
     total = 0.0
     for budget, desire in zip(budgets, buyer_desires):

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
 from datamarket.cli import main
-from datamarket.fixtures import gen_greedy_suboptimal, gen_lingap, gen_nonsub
-from datamarket.model import prices_to_shardset, save_instance, save_prices, save_shardset
+from datamarket.fixtures import gen_greedy_suboptimal, gen_lingap, gen_nonsub, gen_random
+from datamarket.model import (Instance, prices_to_shardset, save_instance, save_prices,
+                              save_shardset)
 
 
 @pytest.fixture
@@ -297,7 +299,7 @@ def test_values_whose_total_could_overflow_are_a_one_line_error(capsys, tmp_path
 @pytest.mark.parametrize("flags,message", [
     (["--tau", "1e308", "--counts", "2"], "total precision"),
     (["--mean", "nan", "--tau", "1", "--counts", "2"], "prior mean must be finite"),
-    (["--mean", "1e308", "--tau", "1", "--counts", "2"], "the simulated MSE is inf"),
+    (["--tau0", "1e-320", "--tau", "1e-310", "--counts", "2"], "the simulated MSE is inf"),
 ])
 def test_validate_gaussian_overflow_is_a_one_line_error(capsys, flags, message):
     # any warning fails the suite, so none may be printed on the way
@@ -306,6 +308,34 @@ def test_validate_gaussian_overflow_is_a_one_line_error(capsys, flags, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_validate_gaussian_at_a_huge_prior_mean_is_the_mean_0_run(capsys):
+    argv = ["validate-gaussian", "--tau0", "1", "--tau", "1", "--counts", "2", "--trials", "10"]
+    code, at_zero = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv + ["--mean", "1e300"]) == (0, at_zero)
+    assert json.loads(at_zero)["empirical_mse"] > 0.0
+
+
+def test_cgreedy_stats_at_a_huge_money_unit_are_finite_json(capsys, tmp_path):
+    # the step spreads square each sample's deviation, which overflows past
+    # about 1e154 unless the gains are scaled first
+    inst = gen_random(6, 4, 3)
+    path = tmp_path / "huge.json"
+    save_instance(Instance.make([b * 1e199 for b in inst.budgets],
+                                [[v * 1e199 for v in row] for row in inst.values]), path)
+    assert main(["solve-linear", "--instance", str(path), "--method", "cgreedy", "--steps", "3",
+                 "--samples", "8", "--roundings", "2", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    stats = json.loads(captured.out, parse_constant=reject)["stats"]
+    assert all(math.isfinite(x) for x in stats["step_max_std"] + stats["step_marginal"])
+    assert max(stats["step_max_std"]) > 1e190
 
 
 def test_unknown_flag_exits_2(suboptimal_path):

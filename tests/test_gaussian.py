@@ -50,12 +50,21 @@ def test_task_rejects_a_total_precision_that_overflows():
 
 
 @pytest.mark.parametrize("task", [
-    GaussianTask(1.0, 1e308, (1.0,), (2,)),  # the signal sum overflows
+    GaussianTask(1e-320, 0.0, (1e-310,), (2,)),  # the records' noise, about 1e155, squared
     GaussianTask(1e-320, 0.0, (1.0,), (0,)),  # the prior draws' squares overflow
 ])
 def test_a_simulation_that_overflows_raises(task):
     with pytest.raises(ValueError, match="MSE is inf"):
         simulate_posterior_mse(task, 10, seed=0)
+
+
+@pytest.mark.parametrize("prior_mean", [1e300, -1e300, 1e308, 0.5])
+def test_the_prior_mean_leaves_the_simulation_as_it_is(prior_mean):
+    # at 1e300 the draws around the mean would round unit noise away
+    at_zero = simulate_posterior_mse(GaussianTask(1.0, 0.0, (1.0,), (2,)), 1000, seed=5)
+    assert simulate_posterior_mse(GaussianTask(1.0, prior_mean, (1.0,), (2,)), 1000,
+                                  seed=5) == at_zero
+    assert at_zero[0] > 0.0
 
 
 def test_expected_variance_quarter():

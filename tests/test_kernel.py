@@ -107,6 +107,27 @@ def test_revenue_of_an_array_is_the_buyer_loop(row_shape):
     _assert_same_bits(revenue(budgets, zeros), _buyer_loop(budgets, zeros))
 
 
+@pytest.mark.parametrize("row_shape", [(), (257,), (3, 4)])
+def test_revenue_of_a_generator_reusing_one_buffer(row_shape):
+    rng = np.random.default_rng(sum(row_shape) + 5)
+    budgets = np.abs(_mixed(rng, 9))
+    desires = _mixed(rng, (9,) + row_shape)
+    kept = desires.copy()
+    buffer = np.empty(row_shape)
+
+    def reuse():
+        for row in desires:
+            buffer[...] = row
+            yield buffer
+
+    got = revenue(budgets, reuse())
+    _assert_same_bits(got, _buyer_loop(budgets, desires))
+    assert not np.shares_memory(got, buffer)
+    _assert_same_bits(buffer, desires[-1])  # the rows it was given are left as they were
+    _assert_same_bits(revenue(budgets, iter(desires)), _buyer_loop(budgets, desires))
+    _assert_same_bits(desires, kept)
+
+
 def test_linear_revenue_adds_left_to_right():
     rng = random.Random(32)
     for inst in BATTERY:
@@ -183,6 +204,22 @@ def test_sampled_marginals_equal_the_two_pass_reference():
             samples, copies = np.nonzero(sel)
             picked_differ += np.count_nonzero(want_with[samples, copies] != own[samples])
     assert picked_differ > 0
+
+
+def test_sampled_marginals_on_empty_repeated_and_single_samples():
+    rng = np.random.default_rng(43)
+    for n, m, budget_scale in [(9, 4, 0.25), (15, 8, 1.0), (30, 12, 4.0)]:
+        inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
+        W = _copy_weights(inst)
+        rows = _random_selection(rng, n, m, samples=4)
+        rows[3] = 0.0  # a sample that picked nothing
+        for sel in (np.zeros((16, n * m)),  # the first step: every sample picks nothing
+                    rows[rng.integers(0, 4, 24)],  # each row repeated, shuffled
+                    rows[1:2]):  # one sample
+            got = _sampled_marginals(inst.budgets, W, sel)
+            want = sampled_marginals_reference(inst.budgets, W, sel)
+            for got_part, want_part in zip(got, want):
+                _assert_same_bits(got_part, want_part)
 
 
 def _spend_rows(rng, rows, items):

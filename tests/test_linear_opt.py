@@ -23,6 +23,7 @@ from datamarket.linear_opt import (
 from datamarket.model import Instance
 from datamarket.revenue import linear_revenue
 from oracle_util import (
+    exact_grid_reference,
     exhaustive_linear_revenue,
     greedy_prices_reference,
     instance_battery,
@@ -177,6 +178,37 @@ def test_continuous_greedy_reports_each_step():
 def test_continuous_greedy_rejects_bad_parameters():
     with pytest.raises(ValueError):
         continuous_greedy(gen_nonsub(EPS), steps=0)
+
+
+def _edge_instances():
+    rng = np.random.default_rng(19)
+    values = rng.random((5, 5)).round(2)
+    middle, last = values.copy(), values.copy()
+    middle[:, 2] = 0.4  # one candidate, between two grid axes
+    last[:, 3], last[:, 4] = [0.0, 0.7, 0.0, 0.7, 0.7], 0.0  # one candidate, the last active
+    budgets = rng.random(5) * 2
+    return [Instance.make(budgets, middle), Instance.make(budgets, last),
+            Instance.make(budgets, np.zeros((5, 5))),  # no active dataset
+            Instance.make([1.5], values[:1]), Instance.make([0.5], values[:1])]  # one buyer
+
+
+@pytest.mark.parametrize("inst", [gen_random(n, m, 7000 + k, budget_scale=m / 4)
+                                  for k, (n, m) in enumerate([(4, 5), (5, 5), (6, 5), (4, 6),
+                                                              (5, 6), (6, 6), (7, 6), (8, 6)])]
+                         + _edge_instances())
+def test_exact_grid_is_the_full_grid_sum(monkeypatch, inst):
+    kernel, grids = linear_opt.revenue, []
+
+    def spy(budgets, buyer_desires):
+        grids.append(kernel(budgets, buyer_desires))
+        return grids[-1]
+
+    monkeypatch.setattr(linear_opt, "revenue", spy)
+    sol = exact_bruteforce(inst)
+    grid, prices, owners = exact_grid_reference(inst)
+    (got,) = grids
+    assert got.shape == np.shape(grid) and got.tobytes() == np.asarray(grid).tobytes()
+    assert list(sol.prices) == prices and list(sol.partition) == owners
 
 
 def test_exact_dominates_other_methods():
