@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Every subcommand prints a single JSON document on standard output so runs
-are diffable; all randomized subcommands take explicit seeds and repeated
-invocations with the same flags emit byte-identical output.  Exit codes: 0
-on success, 1 on file or validation failures, 2 on usage errors.
+Every subcommand returns one JSON document, which ``main`` prints on
+standard output so runs are diffable; all randomized subcommands take
+explicit seeds and repeated invocations with the same flags emit
+byte-identical output.  Exit codes: 0 on success, 1 on file or validation
+failures, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .model import (
     prices_to_shardset,
     save_instance,
 )
-
-
-def _emit(doc) -> None:
-    print(json.dumps(doc, sort_keys=True))
 
 
 def _parse_params(raw: str | None) -> dict[str, str]:
@@ -52,7 +49,7 @@ def _bundle_dict(bundle) -> dict:
     return {"fractions": list(bundle.fractions), "payment": bundle.payment}
 
 
-def _cmd_solve_plc(args) -> int:
+def _cmd_solve_plc(args) -> dict:
     inst = load_instance(args.instance)
     sol = plc_opt.solve_plc(inst)
     doc = plc_opt.plc_solution_to_dict(sol)
@@ -66,11 +63,10 @@ def _cmd_solve_plc(args) -> int:
         doc["stats"] = {**sol.diagnostics, "kink_bound": inst.m + inst.n}
     if args.out:
         _write_json(doc, args.out)
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_solve_linear(args) -> int:
+def _cmd_solve_linear(args) -> dict:
     inst = load_instance(args.instance)
     if args.method == "exact":
         sol = linear_opt.exact_bruteforce(inst)
@@ -87,8 +83,7 @@ def _cmd_solve_linear(args) -> int:
     doc = linear_opt.linear_solution_to_dict(sol)
     if args.stats:
         doc["stats"] = sol.diagnostics
-    _emit(doc)
-    return 0
+    return doc
 
 
 def _load_shards(args, inst):
@@ -101,17 +96,16 @@ def _load_shards(args, inst):
     return shards
 
 
-def _cmd_demand(args) -> int:
+def _cmd_demand(args) -> dict:
     inst = load_instance(args.instance)
     shards = _load_shards(args, inst)
     if not 0 <= args.buyer < inst.n:
         raise ValidationError(f"buyer index {args.buyer} out of range for n={inst.n}")
     bundle = optimal_demand(inst, args.buyer, shards)
-    _emit({"buyer": args.buyer, **_bundle_dict(bundle)})
-    return 0
+    return {"buyer": args.buyer, **_bundle_dict(bundle)}
 
 
-def _cmd_clear(args) -> int:
+def _cmd_clear(args) -> dict:
     inst = load_instance(args.instance)
     if args.shards:
         market = clearing.shards_to_items(inst, _load_shards(args, inst))
@@ -132,8 +126,7 @@ def _cmd_clear(args) -> int:
     }
     if args.stats:
         doc["stats"] = {"potentials": list(result.potentials)}
-    _emit(doc)
-    return 0
+    return doc
 
 
 #: family -> (generator, {parameter: (type, default)}), parameters in argument order
@@ -152,7 +145,7 @@ _FAMILIES = {
 }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> dict:
     params = _parse_params(args.params)
     generator, spec = _FAMILIES[args.family]
     for key in params:
@@ -160,8 +153,7 @@ def _cmd_gen(args) -> int:
             raise ValueError(f"unknown parameter {key!r} for family {args.family}")
     inst = generator(*(kind(params.get(key, default)) for key, (kind, default) in spec.items()))
     save_instance(inst, args.out)
-    _emit({"family": args.family, "n": inst.n, "m": inst.m, "out": args.out})
-    return 0
+    return {"family": args.family, "n": inst.n, "m": inst.m, "out": args.out}
 
 
 def _check_instances(args):
@@ -170,37 +162,34 @@ def _check_instances(args):
     return [fixtures.gen_random(3, 3, seed) for seed in range(args.seed, args.seed + 8)]
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     if args.property == "appendixB":
-        _emit({
+        return {
             "extension_infeasible": fixtures.appendix_b_check(),
             "relaxed_feasible": not fixtures.appendix_b_check(include_monotonicity=False),
-        })
-        return 0
+        }
     if args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     instances = _check_instances(args)
     if args.property == "ksubmodular":
         gap = properties.partition_marginal_gaps(instances, args.samples, args.seed)
-        _emit({
+        return {
             "property": "ksubmodular",
             "samples": args.samples,
             "max_violation": max(0.0, gap),
             "holds": gap <= 1e-9,
-        })
-    else:
-        sub_gap, mono_gap = properties.extension_gaps(instances, args.samples, args.seed)
-        _emit({
-            "property": "extension",
-            "samples": args.samples,
-            "max_submodularity_violation": max(0.0, sub_gap),
-            "max_monotonicity_violation": max(0.0, mono_gap),
-            "holds": sub_gap <= 1e-9 and mono_gap <= 1e-9,
-        })
-    return 0
+        }
+    sub_gap, mono_gap = properties.extension_gaps(instances, args.samples, args.seed)
+    return {
+        "property": "extension",
+        "samples": args.samples,
+        "max_submodularity_violation": max(0.0, sub_gap),
+        "max_monotonicity_violation": max(0.0, mono_gap),
+        "holds": sub_gap <= 1e-9 and mono_gap <= 1e-9,
+    }
 
 
-def _cmd_validate_gaussian(args) -> int:
+def _cmd_validate_gaussian(args) -> dict:
     task = gaussian.GaussianTask(
         args.tau0,
         args.mean,
@@ -208,13 +197,12 @@ def _cmd_validate_gaussian(args) -> int:
         tuple(int(x) for x in args.counts.split(",")),
     )
     mse, variance = gaussian.simulate_posterior_mse(task, args.trials, args.seed)
-    _emit({
+    return {
         "theoretical_gain": gaussian.theoretical_gain(task),
         "expected_variance": variance,
         "empirical_mse": mse,
         "z_score": gaussian.mse_z_score(task, mse, args.trials),
-    })
-    return 0
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,7 +278,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        print(json.dumps(args.func(args), sort_keys=True))
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

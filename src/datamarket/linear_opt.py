@@ -166,11 +166,11 @@ def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
     rng = np.random.default_rng(seed)
 
     def sample(marginals):
-        weights = np.maximum(0.0, marginals)
-        total = float(weights.sum())
-        if total > 0:
-            pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
-            return min(pick, len(marginals) - 1)
+        # each running total as a share of the last, which is exactly 1.0 and
+        # so above every draw: the pick never lands past the last positive weight
+        running = np.cumsum(np.maximum(0.0, marginals))
+        if running[-1] > 0:
+            return int(np.searchsorted(running / running[-1], rng.random(), side="right"))
         return int(np.argmax(marginals))
 
     prices, marginals = _greedy_prices(inst, range(inst.m), sample)
@@ -206,29 +206,28 @@ def _revenue_with_each_copy(budgets, W: np.ndarray, load: np.ndarray) -> np.ndar
                              for i, w in enumerate(W)))[inverse]
 
 
-def _sampled_marginals(budgets, W: np.ndarray, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's revenue with and without each copy (``samples x n*m``).
+def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Each sample's revenue gain from each copy (``samples x n*m``): its
+    revenue with the copy minus its revenue without it.
 
     ``sel`` marks the copies each sample picked and ``load = sel @ W.T`` is
     every buyer's desire in each sample.  Leaving out a copy the sample did
-    not pick subtracts ``+0.0``, which leaves ``load`` as it is, so the
-    revenue without it is the sample's own and the revenue with it is
-    ``_revenue_with_each_copy``, one pass per distinct ``load`` row: the
-    first step, where no sample picks anything, prices one row.  Only the
-    picked copies, at most one per dataset and sample, take the desire with
-    the copy left out, ``load - W[i]``, and add the copy back; rounding makes
-    that differ from ``load``.  Every sum adds in buyer order through
-    ``revenue``.
+    not pick subtracts ``+0.0``, which leaves ``load`` as it is, so the gain
+    is ``_revenue_with_each_copy`` (one pass per distinct ``load`` row: the
+    first step, where no sample picks anything, prices one row) minus the
+    sample's own revenue.  Only the picked copies, at most one per dataset
+    and sample, take the desire with the copy left out, ``load - W[i]``, and
+    add the copy back; rounding makes that differ from ``load``.  Every sum
+    adds in buyer order through ``revenue``.
     """
     load = sel @ W.T  # samples x n
-    r_with = _revenue_with_each_copy(budgets, W, load)
-    r_without = np.repeat(revenue(budgets, load.T)[:, None], sel.shape[1], axis=1)
+    gains = _revenue_with_each_copy(budgets, W, load)
+    gains -= revenue(budgets, load.T)[:, None]
     sample_idx, copy_idx = np.nonzero(sel)
     w = W[:, copy_idx]  # n x picked
     without = load[sample_idx].T - w
-    r_with[sample_idx, copy_idx] = revenue(budgets, without + w)
-    r_without[sample_idx, copy_idx] = revenue(budgets, without)
-    return r_with, r_without
+    gains[sample_idx, copy_idx] = revenue(budgets, without + w) - revenue(budgets, without)
+    return gains
 
 
 def continuous_greedy(
@@ -257,12 +256,9 @@ def continuous_greedy(
     step_marginals, step_spreads = [], []
     for _ in range(steps):
         choices = _sample_copy_choices(y, rng.random((samples, m)))  # samples x m
-        sel = np.zeros((samples, n * m))
-        picked = choices < n
-        sample_idx, dataset_idx = np.nonzero(picked)
-        sel[sample_idx, choices[picked] * m + dataset_idx] = 1.0
-        # each sample's marginal of each copy; only this is kept into the next step
-        gains = np.subtract(*_sampled_marginals(inst.budgets, W, sel))
+        # sel[s, l*m + j] = 1.0 where sample s picked copy (j, l)
+        sel = (choices[:, None, :] == np.arange(n)[:, None]).reshape(samples, n * m) * 1.0
+        gains = _sampled_gains(inst.budgets, W, sel)
         marginal = gains.mean(axis=0)
         best = marginal.reshape(n, m).argmax(axis=0)  # the best copy per dataset
         y[best, np.arange(m)] += 1.0 / steps

@@ -128,6 +128,29 @@ def test_randomized_greedy_mean_and_guarantee():
     assert 1.0 <= float(np.mean(revenues)) <= 1.3
 
 
+def test_randomized_greedy_never_commits_a_price_without_gain(monkeypatch):
+    # values over 18 decades, so that adding the weights pairwise (as ``sum``
+    # does) and left to right (as ``cumsum`` does) rounds differently; the
+    # top value's buyer has no budget, so the top candidate gains nothing
+    rng = np.random.default_rng(5)
+    values = 10.0 ** rng.uniform(-3, 15, 24)
+    budgets = values.copy()
+    budgets[np.argmax(values)] = 0.0
+    # subnormal budgets, where the largest draw times the total rounds up to it
+    instances = [Instance.make(budgets, values[:, None]),
+                 Instance.make([3e-320, 4e-320], [[1.0], [2.0]])]
+
+    class LastDraw:  # the largest draw a Generator returns
+        def random(self):
+            return 1.0 - 2.0 ** -53
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: LastDraw())
+    for inst in instances:
+        sol = randomized_greedy(inst, 0)
+        assert sol.diagnostics["marginals"][0] > 0.0
+        assert sol.revenue > 0.0
+
+
 def test_randomized_greedy_reproducible():
     inst = gen_random(3, 3, seed=5)
     assert randomized_greedy(inst, 11) == randomized_greedy(inst, 11)
@@ -156,7 +179,8 @@ def test_continuous_greedy_matches_the_two_pass_estimate(monkeypatch):
              for n, m, seed, b in [(6, 4, 3, 1.0), (12, 5, 7, 0.25), (20, 8, 2, 16.0)]]
     got = [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
            for inst, seed in cases]
-    monkeypatch.setattr(linear_opt, "_sampled_marginals", sampled_marginals_reference)
+    monkeypatch.setattr(linear_opt, "_sampled_gains",
+                        lambda *args: np.subtract(*sampled_marginals_reference(*args)))
     assert got == [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
                    for inst, seed in cases]
 
