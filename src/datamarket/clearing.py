@@ -25,10 +25,11 @@ her desire a rounding over budget and every count as it was, so the
 potential stays level for that iteration; the price still falls, and the
 loop raises ``RuntimeError`` if it exceeds the bound.
 
-It scans the market once and keeps each buyer's wanted prices as a matrix;
-after each lowering it rewrites only that item's column and re-adds the
-desires of the buyers who wanted it before or want it now, which gives the
-same bits as a full rescan, since no other buyer's wanted prices moved.
+It scans the market once and keeps the wanted prices as an items-by-buyers
+matrix; after each lowering it rewrites only that item's row and re-adds
+every buyer's desire in one ``left_to_right`` over the matrix, which adds
+each buyer's wanted prices in item order and so gives the bits of a full
+rescan (a buyer whose wanted prices did not move gets her desire back).
 
 ``clearing_allocation`` is ``demand.allocate``, the one whole-market
 allocation, with the over-budget buyers as the ones who spend.  One
@@ -115,6 +116,8 @@ def shards_to_items(inst: Instance, shards: ShardSet) -> ItemMarket:
 
 def desire(mkt: ItemMarket, i: int, prices=None) -> float:
     """Total price of the items buyer ``i`` is interested in."""
+    if not 0 <= i < mkt.num_buyers:
+        raise IndexError(f"buyer index {i} out of range for n={mkt.num_buyers}")
     return float(mkt.scan(prices)[2][i])
 
 
@@ -129,8 +132,8 @@ def _state(mkt: ItemMarket, q, wants, desire_) -> tuple[int | None, int, np.ndar
     are clearable), the potential, and which buyers are over budget."""
     over = desire_ > mkt.arrays[1] + TOLERANCE
     priced = q > TOLERANCE
-    violating = np.flatnonzero(priced & ~(wants & ~over[:, None]).any(axis=0))
-    phi1 = np.count_nonzero(priced) + np.count_nonzero(~wants)
+    violating = np.flatnonzero(priced & ~wants[~over].any(axis=0))
+    phi1 = np.count_nonzero(priced) + wants.size - np.count_nonzero(wants)
     return (int(violating[0]) if violating.size else None,
             int((mkt.num_buyers + 1) * phi1 + np.count_nonzero(over)), over)
 
@@ -154,7 +157,9 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     """
     values, budgets, sizes = mkt.arrays
     q, wants, desire_ = mkt.scan()  # a fresh price array, lowered in place
-    paid = np.where(wants, q, 0.0)  # each buyer's wanted prices, kept with q and wants
+    # the wanted prices, kept with q: items x buyers and C-contiguous, so that
+    # left_to_right(paid.T) adds down the items without a copy
+    paid = np.where(wants, q, 0.0).T.copy()
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     potentials = []
     iterations = 0
@@ -167,24 +172,23 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
             raise RuntimeError("clearabilize failed to terminate within its bound")
         constrained_interested = wants[:, j] & over
         if constrained_interested.any():
-            # what each such buyer has left after her other wanted items
+            # what each such buyer has left after her other wanted items (item
+            # j's row is rewritten below)
+            paid[j] = 0.0
             budget = budgets[constrained_interested]
-            others = paid[constrained_interested]
-            others[:, j] = 0.0
-            left = budget - left_to_right(others)
+            left = budget - left_to_right(paid.T)[constrained_interested]
             if left.max() >= q[j]:
                 # rounding at large money: that buyer's excess comes off instead
                 left = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
             q[j] = max(0.0, float(left.max()))
         else:
             q[j] = 0.0
-        # only item j's price moved: rescan its column, and the desires of the
-        # buyers who wanted it before or want it now
+        # only item j's price moved: rescan its column of wants and its row of
+        # paid, then re-add every desire
         column = interested(values[:, j], q[j], sizes[j])
-        moved = column | wants[:, j]
         wants[:, j] = column
-        paid[:, j] = np.where(column, q[j], 0.0)
-        desire_[moved] = left_to_right(paid[moved])
+        paid[j] = np.where(column, q[j], 0.0)
+        desire_ = left_to_right(paid.T)
         iterations += 1
 
 

@@ -7,10 +7,11 @@ indifference buys, within the global tolerance per unit of the item's
 size), her desire is the total price of the items she wants (``desires``),
 and the market collects ``sum_i min(b_i, desire_i)`` (``revenue``).  Both
 sums run left to right, in item order and in buyer order, so no result
-depends on the pairwise order of numpy's ``ndarray.sum``: item sums of at
-most ``ACCUMULATE_ROWS`` rows by ``np.add.accumulate``, taller ones one
-column at a time, which add in the same sequence and give the same bits.
-The buyer sum takes the same switch on the entries of a buyer's row.
+depends on the pairwise order of numpy's ``ndarray.sum`` and every result
+has the bits of a plain loop.  ``left_to_right`` keeps that order: it
+reduces a copy laid out items first down its leading axis, which adds each
+item's row of terms into the running sums in item order, and adds a single
+sum by ``np.add.accumulate``.
 """
 
 from __future__ import annotations
@@ -38,25 +39,23 @@ def interested(values, prices, sizes=1.0) -> np.ndarray:
     return values >= prices - TOLERANCE * sizes
 
 
-#: Sums of at most this many rows use ``np.add.accumulate``, taller ones the
-#: column loop: accumulate costs per element and the loop per column, and
-#: they break even near 256 rows.
-ACCUMULATE_ROWS = 256
-
-
 def left_to_right(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis in index order.
 
-    ``np.add.accumulate`` adds strictly in sequence, as the column loop does,
-    so both give the same bits; ``+ 0.0`` makes an all ``-0.0`` sum ``+0.0``,
-    as the loop's zero start does.  An empty last axis sums to zeros.
+    Two or more sums are laid out items first and C-contiguous (copied
+    unless they already are) and reduced down that leading axis from a
+    ``0.0`` start, which adds whole rows of sums element by element in item
+    order; numpy sums pairwise only along the fast axis in memory, which
+    here runs across the sums.  A single sum has no such axis, so it goes
+    through ``np.add.accumulate``, which adds strictly in sequence, and
+    ``+ 0.0`` makes an all ``-0.0`` sum ``+0.0``.  Both give the bits of a
+    loop adding one item at a time from a zero start.  An empty last axis
+    sums to zeros.
     """
-    if x.shape[-1] and math.prod(x.shape[:-1]) <= ACCUMULATE_ROWS:
+    if x.shape[-1] and math.prod(x.shape[:-1]) < 2:
         return np.add.accumulate(x, axis=-1, dtype=float)[..., -1] + 0.0
-    total = np.zeros(x.shape[:-1])
-    for column in np.rollaxis(x, -1):
-        total = total + column
-    return total
+    # x.T puts the items first; the output's .T gives the other axes their order back
+    return np.add.reduce(np.ascontiguousarray(x.T, dtype=float), axis=0, initial=0.0).T
 
 
 def desires(wants: np.ndarray, prices) -> np.ndarray:
@@ -64,12 +63,20 @@ def desires(wants: np.ndarray, prices) -> np.ndarray:
     return left_to_right(np.where(wants, prices, 0.0))
 
 
+#: An array of desires whose rows hold at most this many entries is capped in
+#: one ``np.minimum``; longer rows are capped one buyer at a time, which holds
+#: one capped row where the one call holds a capped copy of the whole array
+#: (0.3 and 0.6 MB more traced at the peak of continuous greedy at 60x30 and
+#: 100x50, whose rows hold each picked copy).
+BLOCK_ROW_ENTRIES = 256
+
+
 def revenue(budgets, buyer_desires):
     """The budget-capped sum ``sum_i min(b_i, desire_i)``, added in buyer order.
 
     ``buyer_desires`` runs over buyers (an array's rows or a generator); each
     row is one desire or the desires under several price vectors.  An array
-    whose rows hold at most ``ACCUMULATE_ROWS`` entries is capped in one
+    whose rows hold at most ``BLOCK_ROW_ENTRIES`` entries is capped in one
     ``np.minimum`` and added over buyers by ``left_to_right``, which adds in
     the same sequence as the buyer loop and gives the same bits; generators
     and longer rows go through the loop, which adds each capped row into a
@@ -79,7 +86,7 @@ def revenue(budgets, buyer_desires):
     row it was given.
     """
     if (isinstance(buyer_desires, np.ndarray)
-            and math.prod(buyer_desires.shape[1:]) <= ACCUMULATE_ROWS):
+            and math.prod(buyer_desires.shape[1:]) <= BLOCK_ROW_ENTRIES):
         # .T puts the buyers last for the sum and gives the rows their shape back
         return left_to_right(np.minimum(budgets, buyer_desires.T)).T
     total = None

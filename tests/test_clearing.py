@@ -16,7 +16,7 @@ from datamarket.clearing import (
     shards_to_items,
 )
 from datamarket.fixtures import gen_ce_se, gen_nonsub, gen_random, gen_sepgap
-from datamarket.model import Instance, ShardCurve
+from datamarket.model import Instance, ShardCurve, partition_prices
 from datamarket.plc_opt import solve_plc
 from oracle_util import clearabilize_reference, pricing_battery, spend_reference
 
@@ -190,6 +190,13 @@ def test_desire_counts_only_interesting_items():
     assert desire(market, 0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("i", [-1, 4])
+def test_desire_rejects_a_buyer_index_out_of_range(i):
+    market = market_from_prices(gen_random(4, 3, 1), (0.1, 0.2, 0.3))
+    with pytest.raises(IndexError, match=f"buyer index {i} out of range for n=4"):
+        desire(market, i)
+
+
 def test_shard_items_decide_interest_per_unit():
     # the buyer's per-unit value is 5e-7 below the second shard's slope: she
     # does not want it, although 0.001 of it is valued within 1e-9 of its price
@@ -280,6 +287,25 @@ def test_clearabilize_equals_a_full_rescan_on_hand_built_markets():
         assert market.sizes is None
         iterations += _assert_matches_full_rescan(market)
     assert iterations > 100
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e12])
+@pytest.mark.parametrize("n, m", [(40, 20), (60, 30), (100, 50)])
+def test_clearabilize_equals_a_full_rescan_on_posted_prices_with_many_items(n, m, unit):
+    # 20 or more terms a desire, where numpy's pairwise sum would add in
+    # another order than item by item and change bits; at a unit of 1e12 the
+    # desires' last bits also decide the rounding fallback's price
+    rng = random.Random(n)
+    iterations = 0
+    for seed in (1, 2, 3):
+        for scale in (1.0, 4.0):
+            base = gen_random(n, m, seed=seed + 8300, budget_scale=scale)
+            inst = Instance.make([b * unit for b in base.budgets],
+                                 [[v * unit for v in row] for row in base.values])
+            part = [rng.randrange(n) for _ in range(m)]
+            iterations += _assert_matches_full_rescan(
+                market_from_prices(inst, partition_prices(inst, part)))
+    assert iterations > 6
 
 
 def test_clearabilize_lowers_to_the_budget_left_without_residue():

@@ -83,6 +83,42 @@ def test_left_to_right_on_zeros_and_views(rows):
     _assert_same_bits(left_to_right(transposed), _column_loop(transposed))
 
 
+def _pairwise_layouts():
+    """Inputs of 9 or more items with ``-0.0`` entries, in the layouts a
+    caller may pass: F-ordered, boolean-index results, strided views and
+    single rows; reduced as some of them lie in memory, numpy would add
+    pairwise."""
+    rng = np.random.default_rng(2026)
+    paid = _mixed(rng, (50, 65))  # items x buyers, as clearing keeps them
+    paid[:, 0] = -0.0
+    paid[::2, 3] = -0.0
+    mask = np.arange(65) % 3 != 1
+    cube = _mixed(rng, (30, 4, 5))  # items first
+    cube[:, 1, 2] = -0.0
+    wide = _mixed(rng, (2, 1000))
+    wide[0, ::7] = -0.0
+    wide[1] = -0.0
+    column = _mixed(rng, (1000, 2))
+    column[::5] = -0.0
+    return {
+        "F-ordered": np.asfortranarray(paid.T),
+        "boolean columns, transposed": paid[:, mask].T,
+        "boolean columns, F-ordered": paid.T[:, mask[:50]],
+        "3-D moveaxis": np.moveaxis(cube, 0, -1),
+        "(2, 1000)": wide,
+        "(1, 1000)": wide[:1],
+        "(1, 1000) all -0.0": wide[1:],
+        "(1, 1000) strided": column.T[:1],
+    }
+
+
+@pytest.mark.parametrize("layout", list(_pairwise_layouts()))
+def test_left_to_right_adds_in_sequence_on_any_layout(layout):
+    x = _pairwise_layouts()[layout]
+    assert x.shape[-1] >= 9 and (np.signbit(x) & (x == 0)).any()
+    _assert_same_bits(left_to_right(x), _column_loop(x))
+
+
 def _buyer_loop(budgets, desires):
     total = 0.0
     for budget, desire in zip(budgets, desires):
