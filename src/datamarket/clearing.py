@@ -152,8 +152,13 @@ def potential(mkt: ItemMarket, prices) -> int:
 def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     """Lower prices until clearable, without losing any buyer's revenue.
 
-    Returns the new prices, the iteration count, and the potential trace
-    (its value before each iteration and after the last one).
+    Each iteration lowers the first violating item to the most that any of
+    its interested over-budget buyers has left after her other wanted items,
+    and to zero when it has no such buyer: with none, ``left`` is empty and
+    its ``max(initial=0.0)`` is that zero.  Returns the new prices, the
+    iteration count, and the potential trace (its value before each
+    iteration and after the last one), so the count is one less than the
+    trace's length.
     """
     values, budgets, sizes = mkt.arrays
     q, wants, desire_ = mkt.scan()  # a fresh price array, lowered in place
@@ -162,34 +167,29 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     paid = np.where(wants, q, 0.0).T.copy()
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     potentials = []
-    iterations = 0
     while True:
         j, phi, over = _state(mkt, q, wants, desire_)
         potentials.append(phi)
         if j is None:
-            return ClearabilizeResult(tuple(q.tolist()), iterations, tuple(potentials))
-        if iterations >= bound:
+            return ClearabilizeResult(tuple(q.tolist()), len(potentials) - 1, tuple(potentials))
+        if len(potentials) > bound:
             raise RuntimeError("clearabilize failed to terminate within its bound")
+        # what each interested over-budget buyer has left after her other
+        # wanted items (item j's row is rewritten below)
         constrained_interested = wants[:, j] & over
-        if constrained_interested.any():
-            # what each such buyer has left after her other wanted items (item
-            # j's row is rewritten below)
-            paid[j] = 0.0
-            budget = budgets[constrained_interested]
-            left = budget - left_to_right(paid.T)[constrained_interested]
-            if left.max() >= q[j]:
-                # rounding at large money: that buyer's excess comes off instead
-                left = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
-            q[j] = max(0.0, float(left.max()))
-        else:
-            q[j] = 0.0
+        paid[j] = 0.0
+        budget = budgets[constrained_interested]
+        left = budget - left_to_right(paid.T)[constrained_interested]
+        if left.max(initial=0.0) >= q[j]:
+            # rounding at large money: that buyer's excess comes off instead
+            left = np.where(left < q[j], left, q[j] - desire_[constrained_interested] + budget)
+        q[j] = max(0.0, float(left.max(initial=0.0)))
         # only item j's price moved: rescan its column of wants and its row of
         # paid, then re-add every desire
         column = interested(values[:, j], q[j], sizes[j])
         wants[:, j] = column
         paid[j] = np.where(column, q[j], 0.0)
         desire_ = left_to_right(paid.T)
-        iterations += 1
 
 
 def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:

@@ -73,8 +73,7 @@ def simulate_posterior_mse(task: GaussianTask, trials: int, seed: int) -> tuple[
         theta = rng.standard_normal(trials) / math.sqrt(tau0)
         weighted_signal_sum = np.zeros(trials)
         for tau, count in zip(task.signal_precisions, task.record_counts):
-            if count == 0:
-                continue
+            # no records: a (trials, 0) draw takes no random numbers and adds 0.0
             noise = rng.standard_normal((trials, count)) / math.sqrt(tau)
             weighted_signal_sum += tau * (theta[:, None] + noise).sum(axis=1)
         total_precision = tau0 + theoretical_gain(task)

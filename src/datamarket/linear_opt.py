@@ -242,9 +242,11 @@ def continuous_greedy(
     Maintains marginal probabilities ``y[l, j]`` of pricing dataset ``j`` at
     buyer ``l``'s value.  Each of ``steps`` iterations estimates, with
     ``samples`` common-random-number samples, the expected marginal of every
-    copy, moves ``1/steps`` of probability mass to the best copy per dataset,
-    and finally rounds ``y`` independently per dataset ``roundings`` times,
-    keeping the best evaluated partition.  Fully determined by ``seed``.
+    copy, and moves ``1/steps`` of probability mass to the best copy per
+    dataset.  Then ``y`` is rounded independently per dataset ``roundings``
+    times, drawn in one block as the steps draw their samples, and the
+    partition with the largest ``extension_value`` is kept, the first drawn
+    on a tie.  Fully determined by ``seed``.
     """
     if steps < 1 or samples < 1 or roundings < 1:
         raise ValueError("steps, samples and roundings must all be at least 1")
@@ -271,14 +273,11 @@ def continuous_greedy(
         unit = np.ldexp(0.5, np.frexp(np.abs(spread).max())[1])
         step_spreads.append(float((spread / unit).std(axis=0).max() * unit))
 
-    best_part: tuple[int | None, ...] = (None,) * m
-    best_rev = -math.inf
-    for _ in range(roundings):
-        choices = _sample_copy_choices(y, rng.random(m))
-        part = tuple(int(c) if c < n else None for c in choices)
-        rev = extension_value(inst, [(j, who) for j, who in enumerate(part) if who is not None])
-        if rev > best_rev:
-            best_part, best_rev = part, rev
+    parts = [tuple(int(c) if c < n else None for c in choices)
+             for choices in _sample_copy_choices(y, rng.random((roundings, m)))]
+    revenues = [extension_value(inst, [(j, who) for j, who in enumerate(part) if who is not None])
+                for part in parts]
+    best_part = parts[int(np.argmax(revenues))]  # the first of the best, as drawn
 
     diagnostics = {"steps": steps, "samples": samples, "roundings": roundings, "seed": seed,
                    "step_marginal": tuple(step_marginals), "step_max_std": tuple(step_spreads)}

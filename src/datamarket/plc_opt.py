@@ -36,7 +36,9 @@ crashed again at round 1's optimum, each revenue column basic in the row
 round 1 chose, which is the tableau pivoting would reach.  Each round's
 columns join that tableau and phase 2 continues from the previous optimum;
 the pivot counts cover those simplex pivots only.  Slopes come back as the
-buyers' own values, by index, never multiplied by the scale.
+buyers' own values, by index, never multiplied by the scale.  A budget
+whose quotient by the scale overflows cannot bind, since every desire is at
+most ``m`` times the scale, so the LP treats it as an infinite budget.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ class _Market:
     indexed ``0 .. slopes.size - 1``, are each dataset's distinct values
     (ascending), dataset by dataset.  Who wants a column is decided once, in
     the instance's own money, as ``shard_revenue`` decides it, and both the
-    LP and the pricing read that one mask."""
+    LP and the pricing read that one mask.  A budget whose quotient by the
+    scale overflows is infinite here, and its buyer pays her desire
+    outright, as an infinite budget's buyer does."""
 
     wants: np.ndarray       # n x columns: buyer i wants column c
     budgets: np.ndarray     # divided by scale
@@ -85,7 +89,11 @@ class _Market:
     @classmethod
     def of(cls, inst: Instance, scale: float) -> "_Market":
         values = value_array(inst)
-        budgets = np.array(inst.budgets, dtype=float)
+        raw = np.array(inst.budgets, dtype=float)
+        # every desire is at most m times the scale, so a budget whose
+        # quotient overflows never binds and may read as infinite
+        with np.errstate(over="ignore"):
+            budgets = raw / scale
         # each dataset's values ascending, datasets as rows; an entry is
         # distinct when it differs from the one before it
         ordered = np.sort(values, axis=0).T
@@ -95,8 +103,8 @@ class _Market:
         dataset = np.nonzero(first)[0]
         starts = np.searchsorted(dataset, np.arange(inst.m + 1))
         # infinite budgets never bind; zero budgets never pay
-        payers = np.flatnonzero(np.isfinite(budgets) & (budgets > 0))
-        return cls(interested(values[:, dataset], distinct), budgets / scale, payers,
+        payers = np.flatnonzero(np.isfinite(budgets) & (raw > 0))
+        return cls(interested(values[:, dataset], distinct), budgets, payers,
                    distinct, distinct / scale, dataset, starts)
 
     @cached_property

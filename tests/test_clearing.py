@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from datamarket import clearing
 from datamarket.clearing import (
     ItemMarket,
     clearabilize,
@@ -404,3 +405,23 @@ def test_scans_reject_a_price_vector_of_the_wrong_length(call, prices):
 def test_market_from_prices_rejects_the_wrong_number_of_prices(prices):
     with pytest.raises(ValueError, match=f"got {len(prices)} prices for 3 datasets"):
         market_from_prices(gen_random(4, 3, seed=2), prices)
+
+
+def test_clearabilize_raises_after_exactly_its_bound(monkeypatch):
+    # a _state that keeps reporting item 0 as violating never lets the loop
+    # end, so it runs its (M + 1) * (n + 1)**2 iterations and then raises
+    mkt = market_from_prices(gen_random(2, 2, 3), [0.5, 0.5])
+    real = clearing._state
+    calls = []
+
+    def stuck(*args):
+        calls.append(1)
+        _, phi, over = real(*args)
+        return 0, phi, over
+
+    monkeypatch.setattr(clearing, "_state", stuck)
+    with pytest.raises(RuntimeError) as exc:
+        clearabilize(mkt)
+    assert str(exc.value) == "clearabilize failed to terminate within its bound"
+    bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
+    assert len(calls) == bound + 1  # one state per iteration, then the one that raises

@@ -447,3 +447,75 @@ def test_negative_zero_in_a_file_reads_as_zero(capsys, tmp_path, kind, argv):
     assert code == 0
     assert _run_on_number(capsys, tmp_path, kind, "0.0", argv) == (0, negative)
     assert "-0.0" not in negative.out
+
+
+@pytest.mark.parametrize("budgets, values", [
+    ([1e10, 1.0], [[1e-300, 2e-300], [3e-300, 1e-300]]),
+    ([1.5e308, 1.0], [[0.5, 0.2], [0.3, 0.4]]),
+], ids=["tiny-values", "huge-budget"])
+def test_solve_plc_on_a_budget_that_overflows_the_money_scale(capsys, tmp_path, budgets, values):
+    # pytest turns warnings into errors here, so an overflow warning fails too;
+    # the budget cannot bind, so the output is that of an infinite budget
+    outputs = []
+    for first in (budgets[0], "inf"):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"budgets": [first] + budgets[1:], "values": values}))
+        assert main(["solve-plc", "--instance", str(path), "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def _one_line_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"budgets": [], "values": []}', "instance must have at least one buyer; instance must "
+                                      "have at least one dataset; no positive budget"),
+    ('{"budgets": [1.0], "values": [[]]}', "instance must have at least one dataset"),
+    ('{"budgets": [1.0, NaN], "values": [[1.0], [1.0]]}', "invalid budget for buyer 1"),
+    ('{"budgets": [1.0, -2.0], "values": [[1.0], [1.0]]}', "negative budget for buyer 1"),
+    ('{"budgets": [1.0], "values": [1.0]}', "each value row must be an array"),
+], ids=["no-buyers", "no-datasets", "nan-budget", "negative-budget", "value-row"])
+def test_a_bad_instance_is_a_one_line_error(capsys, tmp_path, text, message):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    _one_line_error(capsys, ["solve-plc", "--instance", str(path)], message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"curves": [[], [{"size": 1.0, "slope": 1.0}]]}', "curve has no shards"),
+    ('{"curves": [[{"size": 1.0, "slope": NaN}], [{"size": 1.0, "slope": 1.0}]]}',
+     "invalid shard slope nan"),
+    ('{"curves": [{"size": 1.0, "slope": 1.0}]}', "each curve must be an array of shards"),
+    ('{"curves": [[[1.0, 1.0]]]}', 'each shard must be an object with "size" and "slope"'),
+], ids=["no-shards", "nan-slope", "curve", "shard"])
+def test_a_bad_shard_set_is_a_one_line_error(capsys, tmp_path, text, message):
+    inst_path, shard_path = tmp_path / "inst.json", tmp_path / "shards.json"
+    save_instance(gen_nonsub(0.001), inst_path)
+    shard_path.write_text(text)
+    _one_line_error(capsys, ["clear", "--instance", str(inst_path), "--shards", str(shard_path)],
+                    message)
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("cese", "n=0", "n must be at least 1"),
+    ("greedytight", "n=0", "n must be at least 1"),
+    ("greedytight", "eps=0", "eps must be positive"),
+    ("lingap", "n=1", "n must be at least 2"),
+    ("lingap", "eps=1", "eps must lie strictly between 0 and 1"),
+    ("sepgap", "k=0", "m and k must be at least 1"),
+    ("vc", "eps=0", "eps must be positive"),
+    ("random", "m=0", "n and m must be at least 1"),
+    ("random", "budget_scale=0", "scales must be positive"),
+])
+def test_gen_names_each_bad_parameter(capsys, tmp_path, family, params, message):
+    out_path = tmp_path / "generated.json"
+    _one_line_error(capsys, ["gen", "--family", family, "--params", params, "--out",
+                             str(out_path)], message)
+    assert not out_path.exists()

@@ -296,3 +296,19 @@ def test_allocate_spends_the_chosen_rows_by_take_and_gives_the_rest_whole(spends
         assert fractions[0].tolist() == [1.0, 0.0, 0.0, 0.0]  # only the free item
     if spends[1]:
         assert fractions[1].tolist() == wants[1].astype(float).tolist()
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ((0.0, 1.0), (0.0, 0.5, 1.0), "curve needs matching xs/ys with at least two breakpoints"),
+    ((0.0, 0.5, 0.5, 1.0), (0.0, 0.2, 0.3, 1.0), "breakpoints must be strictly increasing"),
+], ids=["mismatched", "repeated-breakpoint"])
+def test_piecewise_curve_names_each_bad_shape(xs, ys, message):
+    with pytest.raises(ValidationError) as exc:
+        PiecewiseCurve(xs, ys)
+    assert str(exc.value) == message
+
+
+def test_piecewise_linearize_rejects_a_nan_grid_slope():
+    with pytest.raises(ValueError) as exc:
+        piecewise_linearize(ShardCurve(((1.0, 2.0),)), [1.0, math.nan])
+    assert str(exc.value) == "invalid grid slope nan"

@@ -157,3 +157,21 @@ def test_appendix_b_no_monotone_submodular_extension():
 def test_appendix_b_relaxed_variant_is_feasible():
     assert appendix_b_check(include_monotonicity=False) is False
     assert lp.check_feasible(appendix_b_lp(include_monotonicity=False))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_ce_se(0), "n must be at least 1"),
+    (lambda: gen_greedy_tight(0), "n must be at least 1"),
+    (lambda: gen_greedy_tight(3, eps=0.0), "eps must be positive"),
+    (lambda: gen_lingap(1), "n must be at least 2"),
+    (lambda: gen_lingap(3, eps=1.0), "eps must lie strictly between 0 and 1"),
+    (lambda: gen_sepgap(2, 0), "m and k must be at least 1"),
+    (lambda: gen_vertex_cover([(0, 1)], eps=0.0), "eps must be positive"),
+    (lambda: gen_random(3, 0, 1), "n and m must be at least 1"),
+    (lambda: gen_random(3, 3, 1, budget_scale=0.0), "scales must be positive"),
+], ids=["cese-n", "tight-n", "tight-eps", "lingap-n", "lingap-eps", "sepgap-k", "vc-eps",
+        "random-m", "random-scale"])
+def test_generators_name_each_bad_parameter(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -368,3 +369,37 @@ def test_leaving_row_matches_the_stated_rule_on_permuted_bases():
         basics = rng.sample(range(1, k + 1), k)
         tableau = _ratio_tableau(entries, rhs, basics)
         assert tableau._leaving_row(0) == _leaving_row_reference(entries, rhs, basics)
+
+
+def test_problem_rejects_inconsistent_shapes_and_an_infinite_rhs():
+    with pytest.raises(ValueError) as exc:
+        lp.LpProblem(np.ones(2), np.ones((1, 3)), np.array(["<="]), np.ones(1))
+    assert str(exc.value) == "inconsistent shapes: c (2,), A (1, 3), relations (1,), b (1,)"
+    with pytest.raises(ValueError) as exc:
+        make([1.0], [((1.0,), "<=", math.inf)])
+    assert str(exc.value) == "constraint rhs must be finite, got inf"
+
+
+def test_a_basic_artificial_is_pivoted_out_after_phase_one(monkeypatch):
+    # three equalities in three variables whose phase 1 ends with an
+    # artificial basic at zero in a row that still has a real coefficient:
+    # drop_artificials pivots it out (a pivot without reduced costs) rather
+    # than dropping the row
+    problem = lp.LpProblem.make([-1, -1, 1], [([1, -1, 1], "=", 1), ([1, -1, 0], "=", 1),
+                                              ([1, 0, -1], "=", 1)])
+    pivots = []
+    original = lp.Tableau._pivot
+
+    def spy(self, row, col, reduced=None):
+        pivots.append(reduced is None)
+        return original(self, row, col, reduced)
+
+    monkeypatch.setattr(lp.Tableau, "_pivot", spy)
+    sol = lp.solve_lp(problem)
+    assert True in pivots
+    # HiGHS gives the same optimum and vertex
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective_value == -1.0
+    assert sol.x == (1.0, 0.0, 0.0)
+    assert problem.b @ np.array(sol.duals) == pytest.approx(sol.objective_value, abs=1e-12)
+    assert lp.constraint_residuals(problem, sol.x) == pytest.approx([0.0] * 3, abs=1e-12)

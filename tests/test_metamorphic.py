@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from datamarket.clearing import clearabilize, market_from_prices
 from datamarket.fixtures import gen_random
-from datamarket.linear_opt import exact_bruteforce
+from datamarket.linear_opt import exact_bruteforce, greedy
 from datamarket.model import Instance, ShardCurve
 from datamarket.plc_opt import solve_plc
 from datamarket.revenue import linear_revenue, shard_revenue
@@ -110,6 +110,24 @@ def test_plc_revenue_scales_with_the_money_unit(c, budget_scale):
         base = gen_random(15, 8, seed, budget_scale=budget_scale)
         assert solve_plc(_scaled(base, c)).total_revenue == pytest.approx(
             c * highs_plc_revenue(base), rel=1e-7)
+
+
+# Linear pricing decides interest as the PLC kernel does, within an absolute
+# 1e-9 of a price: at money unit 1e-8, buyers whose values lie up to a tenth
+# of a price below it count as wanting it, so the revenue is not c times the
+# unit-money one (greedy at seed 0: 2.887e-8 against 2.805e-8).
+_LINEAR_TOLERANCE = pytest.mark.xfail(
+    strict=True, reason="linear pricing's absolute interest tolerance at money unit 1e-8; "
+    "see ROADMAP.md item 1")
+
+
+@pytest.mark.parametrize("method", [greedy, exact_bruteforce], ids=["greedy", "exact"])
+@pytest.mark.parametrize("c", [pytest.param(1e-8, marks=_LINEAR_TOLERANCE), 1e-4, 1e4, 1e8])
+def test_linear_revenue_scales_with_the_money_unit(c, method):
+    for seed in range(20):
+        base = gen_random(6, 4, seed, budget_scale=2.0)
+        assert method(_scaled(base, c)).revenue == pytest.approx(
+            c * method(base).revenue, rel=1e-9, abs=0.0)
 
 
 # Clearing compares desires with budgets and values with prices within the

@@ -207,3 +207,48 @@ def test_saved_files_are_sorted_json_lines(tmp_path):
         path = tmp_path / f"{save.__name__}.json"
         save(obj, path)
         assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("budgets, values, message", [
+    ([], [], "instance must have at least one buyer; instance must have at least one dataset; "
+             "no positive budget"),
+    ([1.0], [[]], "instance must have at least one dataset"),
+    ([1.0, math.nan], [[1.0], [1.0]], "invalid budget for buyer 1"),
+    ([1.0, -2.0], [[1.0], [1.0]], "negative budget for buyer 1"),
+], ids=["no-buyers", "no-datasets", "nan-budget", "negative-budget"])
+def test_make_names_each_bad_input(budgets, values, message):
+    with pytest.raises(ValidationError) as exc:
+        Instance.make(budgets, values)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("shards, message", [
+    ((), "curve has no shards"),
+    (((0.0, 1.0), (1.0, 2.0)), "non-positive shard size 0.0"),
+    (((1.0, math.nan),), "invalid shard slope nan"),
+    (((0.5, 1.0), (0.5, 1.0)), "shard slopes are not strictly increasing"),
+], ids=["no-shards", "zero-size", "nan-slope", "equal-slopes"])
+def test_shard_curve_validate_names_each_bad_curve(shards, message):
+    assert ShardCurve(shards).validate() == [message]
+
+
+def test_partition_prices_rejects_a_wrong_length():
+    inst = Instance.make([1.0, 1.0], [[0.5, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValidationError) as exc:
+        partition_prices(inst, (0,))
+    assert str(exc.value) == "partition has length 1, expected 2"
+
+
+@pytest.mark.parametrize("loader, doc, message", [
+    (load_instance, {"budgets": [1.0], "values": [1.0]}, "each value row must be an array"),
+    (load_shardset, {"curves": [{"size": 1.0, "slope": 1.0}]},
+     "each curve must be an array of shards"),
+    (load_shardset, {"curves": [[[1.0, 1.0]]]},
+     'each shard must be an object with "size" and "slope"'),
+], ids=["value-row", "curve", "shard"])
+def test_loaders_reject_a_row_or_curve_that_is_not_an_array(tmp_path, loader, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as exc:
+        loader(path)
+    assert str(exc.value) == message

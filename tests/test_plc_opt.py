@@ -365,3 +365,19 @@ def test_one_huge_budget_keeps_the_optimum():
     for huge in (1e6, 1e12):
         inst = Instance.make([huge] + list(base.budgets[1:]), base.values)
         assert solve_plc(inst).total_revenue == pytest.approx(highs_plc_revenue(inst), rel=1e-7)
+
+
+# a budget beyond the money scale times the largest float, divided by that
+# scale, overflows; it can never bind, so it must solve as an infinite budget
+OVERFLOWING_BUDGETS = [
+    ([1e10, 1.0], [[1e-300, 2e-300], [3e-300, 1e-300]]),
+    ([1.5e308, 1.0], [[0.5, 0.2], [0.3, 0.4]]),
+]
+
+
+@pytest.mark.parametrize("budgets, values", OVERFLOWING_BUDGETS, ids=["tiny-values", "huge-budget"])
+def test_a_budget_that_overflows_the_money_scale_solves_as_infinite(budgets, values):
+    got = solve_plc(Instance.make(budgets, values))
+    want = solve_plc(Instance.make([math.inf] + budgets[1:], values))
+    assert plc_solution_to_dict(got) == plc_solution_to_dict(want)
+    assert got.diagnostics == want.diagnostics
