@@ -5,7 +5,9 @@ There is always an optimal price vector whose entries are buyer values, so
 prices datasets one at a time (online-capable, 2-approximate on any order),
 ``randomized_greedy`` samples each committed price proportionally to its
 marginal gain, and ``continuous_greedy`` maximizes the multilinear extension
-of the copied-ground-set revenue over the partition matroid, then rounds.
+of the copied-ground-set revenue over the partition matroid, then rounds; each
+of its steps computes exact gains only for the copies that a cheap upper bound
+leaves able to win.
 """
 
 from __future__ import annotations
@@ -206,9 +208,10 @@ def _revenue_with_each_copy(budgets, W: np.ndarray, load: np.ndarray) -> np.ndar
                              for i, w in enumerate(W)))[inverse]
 
 
-def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Each sample's revenue gain from each copy (``samples x n*m``): its
-    revenue with the copy minus its revenue without it.
+def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray, copies: np.ndarray) -> np.ndarray:
+    """Each sample's revenue gain from each of the copies ``copies`` (indices
+    into ``W``'s columns, ``samples x len(copies)``): its revenue with the
+    copy minus its revenue without it.
 
     ``sel`` marks the copies each sample picked and ``load = sel @ W.T`` is
     every buyer's desire in each sample.  Leaving out a copy the sample did
@@ -218,16 +221,26 @@ def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray) -> np.ndarray:
     sample's own revenue.  Only the picked copies, at most one per dataset
     and sample, take the desire with the copy left out, ``load - W[i]``, and
     add the copy back; rounding makes that differ from ``load``.  Every sum
-    adds in buyer order through ``revenue``.
+    adds in buyer order through ``revenue``, one copy at a time, so a copy's
+    gains have the same bits whichever other copies are asked for.
     """
     load = sel @ W.T  # samples x n
-    gains = _revenue_with_each_copy(budgets, W, load)
+    gains = _revenue_with_each_copy(budgets, W[:, copies], load)
     gains -= revenue(budgets, load.T)[:, None]
-    sample_idx, copy_idx = np.nonzero(sel)
-    w = W[:, copy_idx]  # n x picked
+    sample_idx, column = np.nonzero(sel[:, copies])
+    w = W[:, copies[column]]  # n x picked
     without = load[sample_idx].T - w
-    gains[sample_idx, copy_idx] = revenue(budgets, without + w) - revenue(budgets, without)
+    gains[sample_idx, column] = revenue(budgets, without + w) - revenue(budgets, without)
     return gains
+
+
+def _copies_that_may_win(bound: np.ndarray, marginal: np.ndarray, margin: float) -> np.ndarray:
+    """The copies not yet priced (``marginal`` is ``-inf``; both arrays are
+    ``n x m``) whose mean gain bound comes within ``margin`` of the best
+    marginal priced so far for their dataset, as indices into ``W``'s
+    columns.  With nothing priced for a dataset, each of its copies may win."""
+    floor = marginal.max(axis=0)
+    return np.flatnonzero((marginal == -np.inf) & (bound >= floor - margin))
 
 
 def continuous_greedy(
@@ -242,17 +255,37 @@ def continuous_greedy(
     Maintains marginal probabilities ``y[l, j]`` of pricing dataset ``j`` at
     buyer ``l``'s value.  Each of ``steps`` iterations estimates, with
     ``samples`` common-random-number samples, the expected marginal of every
-    copy, and moves ``1/steps`` of probability mass to the best copy per
-    dataset.  Then ``y`` is rounded independently per dataset ``roundings``
-    times, drawn in one block as the steps draw their samples, and the
-    partition with the largest ``extension_value`` is kept, the first drawn
-    on a tie.  Fully determined by ``seed``.
+    copy that can be its dataset's best, and moves ``1/steps`` of
+    probability mass to the best copy per dataset (the first on a tie).
+    Then ``y`` is rounded independently per dataset ``roundings`` times,
+    drawn in one block as the steps draw their samples, and the partition
+    with the largest ``extension_value`` is kept, the first drawn on a tie.
+    Fully determined by ``seed``.
+
+    A copy no sample picked gains a sample at most ``sum_i W[i, c]`` over
+    the buyers whose desire ``load_i`` is below their budget, since
+    ``min(b_i, load_i + W[i, c]) - min(b_i, load_i)`` is 0 for the others;
+    its mean over the samples is one product, ``mean(load < b) @ W``.  Each
+    step computes exact gains first for the copies any sample picked and
+    each dataset's copy of largest bound, which sets a floor under the
+    dataset's best marginal, then for every other copy whose bound comes
+    within a margin of that floor.  A copy left out falls short of the
+    floor by more than the margin, so it can neither win nor tie, and the
+    step commits what pricing every copy would.
     """
     if steps < 1 or samples < 1 or roundings < 1:
         raise ValueError("steps, samples and roundings must all be at least 1")
     rng = np.random.default_rng(seed)
     n, m = inst.n, inst.m
     W = _copy_weights(inst)
+    # The screen's margin.  Every revenue a step computes adds n capped
+    # desires, and no desire exceeds the buyer's weights over all copies, so
+    # each revenue lies below this ceiling.  A float sum of n such terms errs
+    # by about n * 2.2e-16 of the ceiling (about 1e-14 at n = 100), and so
+    # do a gain, a mean over samples and the bound's product.  1e-9 of the
+    # ceiling covers those errors up to millions of buyers, and it scales
+    # with the money unit as the revenues do.
+    margin = 1e-9 * float(revenue(inst.budgets, W.sum(axis=1)))
     y = np.zeros((n, m))
 
     step_marginals, step_spreads = [], []
@@ -260,13 +293,21 @@ def continuous_greedy(
         choices = _sample_copy_choices(y, rng.random((samples, m)))  # samples x m
         # sel[s, l*m + j] = 1.0 where sample s picked copy (j, l)
         sel = (choices[:, None, :] == np.arange(n)[:, None]).reshape(samples, n * m) * 1.0
-        gains = _sampled_gains(inst.budgets, W, sel)
-        marginal = gains.mean(axis=0)
-        best = marginal.reshape(n, m).argmax(axis=0)  # the best copy per dataset
+        bound = (np.mean(sel @ W.T < inst.budgets, axis=0) @ W).reshape(n, m)
+        marginal = np.full((n, m), -np.inf)  # -inf: not priced in this step
+        first = np.union1d(np.flatnonzero(sel.any(axis=0)), bound.argmax(axis=0) * m + np.arange(m))
+        first_gains = _sampled_gains(inst.budgets, W, sel, first)
+        # each mean adds the samples in order, however many copies it covers
+        marginal.flat[first] = left_to_right(first_gains.T) / samples
+        rest = _copies_that_may_win(bound, marginal, margin)
+        rest_gains = _sampled_gains(inst.budgets, W, sel, rest)
+        marginal.flat[rest] = left_to_right(rest_gains.T) / samples
+        best = marginal.argmax(axis=0)  # the best copy per dataset
         y[best, np.arange(m)] += 1.0 / steps
         committed = best * m + np.arange(m)
-        step_marginals.append(float(marginal[committed].sum()))
-        spread = gains[:, committed]
+        step_marginals.append(float(marginal.flat[committed].sum()))
+        gains = np.hstack([first_gains, rest_gains])
+        spread = gains[:, (committed[:, None] == np.concatenate([first, rest])).argmax(axis=1)]
         # std squares deviations, which overflow past about 1e154, so it runs on
         # the gains divided by the largest power of two not above their largest
         # magnitude; scaling by a power of two is exact short of underflow

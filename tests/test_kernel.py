@@ -232,7 +232,8 @@ def test_sampled_marginals_equal_the_two_pass_reference():
             W = _copy_weights(inst)
             sel = _random_selection(rng, n, m, samples=16)
             want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
-            assert np.array_equal(_sampled_gains(inst.budgets, W, sel), want_with - want_without)
+            got = _sampled_gains(inst.budgets, W, sel, np.arange(n * m))
+            assert np.array_equal(got, want_with - want_without)
             # the sample's own revenue is not what the picked copies give back
             own = np.array([left_to_right_revenue(inst.budgets, load) for load in sel @ W.T])
             samples, copies = np.nonzero(sel)
@@ -251,7 +252,28 @@ def test_sampled_marginals_on_empty_repeated_and_single_samples():
                     rows[rng.integers(0, 4, 24)],  # each row repeated, shuffled
                     rows[1:2]):  # one sample
             want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
-            _assert_same_bits(_sampled_gains(inst.budgets, W, sel), want_with - want_without)
+            _assert_same_bits(_sampled_gains(inst.budgets, W, sel, np.arange(n * m)),
+                              want_with - want_without)
+
+
+def test_an_unpicked_copy_gains_at_most_its_bound():
+    # a copy no sample picked adds at most its weights over the buyers still
+    # under budget; float sums of n terms may overshoot by n * eps of the
+    # revenue ceiling, the most any buyer could pay with every copy
+    rng = np.random.default_rng(47)
+    tight = 0
+    for n, m in [(1, 1), (5, 3), (9, 4), (15, 8), (30, 12)]:
+        for budget_scale in (0.25, 1.0, 4.0, 16.0):
+            inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
+            W = _copy_weights(inst)
+            sel = _random_selection(rng, n, m, samples=16)
+            gains = _sampled_gains(inst.budgets, W, sel, np.arange(n * m))
+            bound = (sel @ W.T < inst.budgets) @ W
+            ceiling = revenue(inst.budgets, W.sum(axis=1))
+            unpicked = sel == 0.0
+            assert np.all(gains[unpicked] <= bound[unpicked] + n * np.finfo(float).eps * ceiling)
+            tight += np.count_nonzero(gains[unpicked] == bound[unpicked])
+    assert tight > 0  # the bound is met where no budget binds
 
 
 def _spend_rows(rng, rows, items):

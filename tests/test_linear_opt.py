@@ -179,10 +179,52 @@ def test_continuous_greedy_matches_the_two_pass_estimate(monkeypatch):
              for n, m, seed, b in [(6, 4, 3, 1.0), (12, 5, 7, 0.25), (20, 8, 2, 16.0)]]
     got = [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
            for inst, seed in cases]
-    monkeypatch.setattr(linear_opt, "_sampled_gains",
-                        lambda *args: np.subtract(*sampled_marginals_reference(*args)))
+    # the reference prices every copy; continuous greedy asks for some columns
+    monkeypatch.setattr(linear_opt, "_sampled_gains", lambda budgets, W, sel, copies: np.subtract(
+        *sampled_marginals_reference(budgets, W, sel))[:, copies])
     assert got == [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
                    for inst, seed in cases]
+
+
+def _screening_battery():
+    """Markets, each with its continuous greedy settings, on which the copy
+    screen meets ties, extreme money units and a single copy."""
+    kw = dict(steps=4, samples=16, roundings=4, seed=3)
+    for n, m in [(6, 4), (12, 5), (30, 12), (60, 30)]:
+        for budget_scale in (0.25, 1.0, 4.0, 16.0):
+            yield gen_random(n, m, n + m, budget_scale=budget_scale), kw
+    base = gen_random(12, 6, 5, budget_scale=2.0)
+    for c in (1e-8, 1e-4, 1e4, 1e8):
+        yield Instance.make([b * c for b in base.budgets],
+                            [[v * c for v in row] for row in base.values]), kw
+    yield gen_vertex_cover([(0, 1), (1, 2), (0, 2), (2, 3)], eps=0.5), kw
+    yield gen_greedy_tight(4, 0.01), kw
+    yield Instance.make([1.0] * 5, [[0.5] * 4] * 5), kw  # every copy ties
+    yield Instance.make([math.inf, 1.0, 2.0], [[0.3, 0.6], [0.5, 0.1], [0.2, 0.9]]), kw
+    yield Instance.make([1.0, 1.0, 2.0], [[0.0, 0.6], [0.0, 0.1], [0.0, 0.9]]), kw
+    for n in range(1, 7):  # one dataset, more samples than the pairwise block of 8
+        yield gen_random(n, 1, 40 + n), dict(steps=3, samples=9 + 5 * n, roundings=4, seed=n)
+    yield gen_random(6, 4, 3), dict(steps=10, samples=16, roundings=8, seed=5)
+    yield gen_random(12, 5, 7, 1.0, 0.5), dict(steps=20, samples=32, roundings=16, seed=11)
+
+
+def test_continuous_greedy_screen_changes_nothing(monkeypatch):
+    cases = list(_screening_battery())
+    screened = [repr(continuous_greedy(inst, **kw)) for inst, kw in cases]
+    monkeypatch.setattr(linear_opt, "_copies_that_may_win",
+                        lambda bound, marginal, margin: np.arange(marginal.size))
+    assert screened == [repr(continuous_greedy(inst, **kw)) for inst, kw in cases]
+
+
+def test_continuous_greedy_step_marginal_adds_the_samples_in_order():
+    # one copy: every sample gains min(2.0, 0.7), and the mean adds them in
+    # sample order, where numpy's pairwise sum of one column gives 0.7
+    sol = continuous_greedy(Instance.make([2.0], [[0.7]]), steps=3, samples=16, roundings=2)
+    total = 0.0
+    for _ in range(16):
+        total += 0.7
+    assert total / 16 != np.full((16, 1), 0.7).mean(axis=0)[0]
+    assert sol.diagnostics["step_marginal"] == (total / 16,) * 3
 
 
 def test_continuous_greedy_reports_each_step():
