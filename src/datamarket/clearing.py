@@ -47,7 +47,7 @@ import numpy as np
 
 from .demand import allocate
 from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet
-from .revenue import desires, interested, left_to_right, revenue, shard_items, value_array
+from .revenue import desires, interested, left_to_right, revenue, shard_items
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def market_from_prices(inst: Instance, prices) -> ItemMarket:
 def shards_to_items(inst: Instance, shards: ShardSet) -> ItemMarket:
     """One item per shard, in dataset then shard order; buyers want the same
     shards as under the curves."""
-    values, prices, sizes = shard_items(value_array(inst), shards)
+    values, prices, sizes = shard_items(inst.array, shards)
     real = sizes > 0
     return ItemMarket(tuple(prices[real].tolist()), tuple(map(tuple, values[:, real].tolist())),
                       inst.budgets, tuple(map(tuple, np.argwhere(real).tolist())),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Bundle, Instance, ShardCurve, ShardSet, ValidationError
-from .revenue import desires, interested, left_to_right, shard_items, value_array
+from .revenue import desires, interested, left_to_right, shard_items
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def _market_demand(inst: Instance, shards: ShardSet) -> tuple[Bundle, ...]:
     gives it one at a time: one ``allocate`` over the market, in which the
     buyers whose budget binds spend it."""
     budgets = np.array(inst.budgets, dtype=float)
-    values, prices, sizes = shard_items(value_array(inst), shards)
+    values, prices, sizes = shard_items(inst.array, shards)
     wants = interested(values, prices, sizes)
     total_cost = left_to_right(desires(wants, prices))
     flat = (inst.n, prices.size)
@@ -151,12 +151,12 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     ratio like any other; only exact ties go in dataset then shard order.
 
     Every call that misses computes every buyer's bundle in one
-    ``_market_demand`` pass.  The library's one memo keeps them for the last
-    instance and ShardSet (found by identity) when neither can change: a
-    tuple ShardSet, and an instance whose budgets and rows are tuples.  So a
-    loop over the buyers under one pricing, such as
-    ``plc_opt.extract_allocation`` or any per-buyer caller, costs one pass;
-    other inputs are read again on every call.
+    ``_market_demand`` pass.  A memo keeps them for the last instance and
+    ShardSet (found by identity) when the ShardSet is a tuple; an instance
+    always holds tuples, so neither can change while it is kept.  So a loop
+    over the buyers under one pricing, such as ``plc_opt.extract_allocation``
+    or any per-buyer caller, costs one pass; a ShardSet of another type is
+    read again on every call.
     """
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
@@ -165,8 +165,7 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     if inst is last_inst and shards is last_shards:
         return bundles[i]
     bundles = _market_demand(inst, shards)
-    if (type(shards) is tuple and type(inst.budgets) is tuple
-            and type(inst.values) is tuple and all(type(row) is tuple for row in inst.values)):
+    if type(shards) is tuple:
         _last_demand = inst, shards, bundles
     return bundles[i]
 

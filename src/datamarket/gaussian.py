@@ -37,7 +37,7 @@ class GaussianTask:
             if not (tau > 0 and math.isfinite(tau)):
                 raise ValueError("signal precisions must be positive and finite")
         for x in self.record_counts:
-            if x < 0 or x != int(x):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
                 raise ValueError("record counts must be non-negative integers")
         if not math.isfinite(self.prior_precision + theoretical_gain(self)):
             raise ValueError("total precision (prior plus records) must be finite")

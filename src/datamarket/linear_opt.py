@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TOLERANCE, Instance, Partition, partition_prices
-from .revenue import (extension_value, interested, left_to_right, linear_revenue, revenue,
-                      value_array)
+from .revenue import extension_value, interested, left_to_right, linear_revenue, revenue
 
 DEFAULT_GRID_CAP = 2_000_000
 
@@ -39,7 +38,7 @@ def candidate_prices(inst: Instance, j: int) -> list[float]:
     Zero is excluded: per-buyer revenue is non-decreasing in desire, so a
     zero price is always weakly dominated by any value the buyers hold.
     """
-    return sorted(set(v for v in (inst.values[i][j] for i in range(inst.n)) if v > TOLERANCE))
+    return inst.distinct[j][inst.distinct[j] > TOLERANCE].tolist()
 
 
 def _partition_for_prices(inst: Instance, prices) -> Partition:
@@ -81,11 +80,10 @@ def exact_bruteforce(inst: Instance) -> LinearSolution:
     if grid_points > DEFAULT_GRID_CAP:
         raise ValueError(f"price grid has {grid_points} points, exceeding cap {DEFAULT_GRID_CAP}")
 
-    values = value_array(inst)
     gains = []  # what each buyer pays for an active dataset at its candidates, on its axis
     for j in active:
         cj = np.asarray(cands[j])
-        gain = np.where(interested(values[:, j, None], cj), cj, 0.0)
+        gain = np.where(interested(inst.array[:, j, None], cj), cj, 0.0)
         gains.append(gain.reshape(inst.n, *(cj.size if k == j else 1 for k in axes)))
 
     full_from = active.index(axes[-1]) if axes else 0  # the first gain over the whole grid
@@ -130,7 +128,6 @@ def _greedy_prices(inst: Instance, order, choose) -> tuple[list[float], list[flo
     order.  Under the default order nothing after ``j`` is priced yet and an
     arrival costs one dataset's work.
     """
-    values = value_array(inst)
     prices = np.zeros(inst.m)
     paid = np.zeros((inst.n, inst.m))
     marginals = []
@@ -139,7 +136,7 @@ def _greedy_prices(inst: Instance, order, choose) -> tuple[list[float], list[flo
         if trials.size == 1:
             marginals.append(0.0)
             continue
-        gain = np.where(interested(values[:, j, None], trials), trials, 0.0)
+        gain = np.where(interested(inst.array[:, j, None], trials), trials, 0.0)
         desire = left_to_right(paid[:, :j])[:, None] + gain
         for k in np.flatnonzero(prices[j + 1:]):
             desire += paid[:, j + 1 + k, None]
@@ -181,9 +178,8 @@ def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
 
 def _copy_weights(inst: Instance) -> np.ndarray:
     """W[i, l*m + j] = what copy (j, l) adds to buyer i's desire."""
-    values = value_array(inst)
-    prices = values[None, :, :]  # copy (j, l) is priced at buyer l's value
-    W = np.where(interested(values[:, None, :], prices), prices, 0.0)
+    prices = inst.array[None, :, :]  # copy (j, l) is priced at buyer l's value
+    W = np.where(interested(inst.array[:, None, :], prices), prices, 0.0)
     return W.reshape(inst.n, inst.n * inst.m)
 
 
@@ -208,23 +204,24 @@ def _revenue_with_each_copy(budgets, W: np.ndarray, load: np.ndarray) -> np.ndar
                              for i, w in enumerate(W)))[inverse]
 
 
-def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray, copies: np.ndarray) -> np.ndarray:
+def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray, load: np.ndarray,
+                   copies: np.ndarray) -> np.ndarray:
     """Each sample's revenue gain from each of the copies ``copies`` (indices
     into ``W``'s columns, ``samples x len(copies)``): its revenue with the
     copy minus its revenue without it.
 
-    ``sel`` marks the copies each sample picked and ``load = sel @ W.T`` is
-    every buyer's desire in each sample.  Leaving out a copy the sample did
-    not pick subtracts ``+0.0``, which leaves ``load`` as it is, so the gain
-    is ``_revenue_with_each_copy`` (one pass per distinct ``load`` row: the
-    first step, where no sample picks anything, prices one row) minus the
-    sample's own revenue.  Only the picked copies, at most one per dataset
-    and sample, take the desire with the copy left out, ``load - W[i]``, and
-    add the copy back; rounding makes that differ from ``load``.  Every sum
-    adds in buyer order through ``revenue``, one copy at a time, so a copy's
-    gains have the same bits whichever other copies are asked for.
+    ``sel`` marks the copies each sample picked and ``load``, ``sel @ W.T``
+    (``samples x n``), is every buyer's desire in each sample; the caller
+    computes it once a step for the bound and both calls.  Leaving out a copy
+    the sample did not pick subtracts ``+0.0``, which leaves ``load`` as it
+    is, so the gain is ``_revenue_with_each_copy`` (one pass per distinct
+    ``load`` row: the first step, where no sample picks anything, prices one
+    row) minus the sample's own revenue.  Only the picked copies, at most one
+    per dataset and sample, take the desire with the copy left out, ``load -
+    W[i]``, and add the copy back; rounding makes that differ from ``load``.
+    Every sum adds in buyer order through ``revenue``, one copy at a time, so
+    a copy's gains have the same bits whichever other copies are asked for.
     """
-    load = sel @ W.T  # samples x n
     gains = _revenue_with_each_copy(budgets, W[:, copies], load)
     gains -= revenue(budgets, load.T)[:, None]
     sample_idx, column = np.nonzero(sel[:, copies])
@@ -293,14 +290,15 @@ def continuous_greedy(
         choices = _sample_copy_choices(y, rng.random((samples, m)))  # samples x m
         # sel[s, l*m + j] = 1.0 where sample s picked copy (j, l)
         sel = (choices[:, None, :] == np.arange(n)[:, None]).reshape(samples, n * m) * 1.0
-        bound = (np.mean(sel @ W.T < inst.budgets, axis=0) @ W).reshape(n, m)
+        load = sel @ W.T  # samples x n: every buyer's desire in each sample
+        bound = (np.mean(load < inst.budgets, axis=0) @ W).reshape(n, m)
         marginal = np.full((n, m), -np.inf)  # -inf: not priced in this step
         first = np.union1d(np.flatnonzero(sel.any(axis=0)), bound.argmax(axis=0) * m + np.arange(m))
-        first_gains = _sampled_gains(inst.budgets, W, sel, first)
+        first_gains = _sampled_gains(inst.budgets, W, sel, load, first)
         # each mean adds the samples in order, however many copies it covers
         marginal.flat[first] = left_to_right(first_gains.T) / samples
         rest = _copies_that_may_win(bound, marginal, margin)
-        rest_gains = _sampled_gains(inst.budgets, W, sel, rest)
+        rest_gains = _sampled_gains(inst.budgets, W, sel, load, rest)
         marginal.flat[rest] = left_to_right(rest_gains.T) / samples
         best = marginal.argmax(axis=0)  # the best copy per dataset
         y[best, np.arange(m)] += 1.0 / steps

@@ -18,6 +18,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 #: Global comparison tolerance for money/fraction equalities.
 TOLERANCE = 1e-9
@@ -51,10 +54,21 @@ class Instance:
 
     ``budgets[i]`` is buyer ``i``'s budget (finite or ``math.inf``);
     ``values[i][j]`` is buyer ``i``'s value for the whole of dataset ``j``.
+
+    An instance holds tuples: the budgets and every value row are turned
+    into tuples when it is built, so it cannot change afterwards, whatever
+    sequences it was given.  Its arrays are therefore built once, on first
+    use, and read-only: ``array``, the ``n x m`` values, and ``distinct``,
+    each dataset's distinct values.  They are not fields, so equality and
+    hashing read the tuples alone.
     """
 
     budgets: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "budgets", tuple(self.budgets))
+        object.__setattr__(self, "values", tuple(map(tuple, self.values)))
 
     @property
     def n(self) -> int:
@@ -64,18 +78,33 @@ class Instance:
     def m(self) -> int:
         return len(self.values[0]) if self.values else 0
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The values as a read-only ``n x m`` float array."""
+        return _read_only(np.array(self.values, dtype=float).reshape(self.n, self.m))
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, ...]:
+        """Each dataset's distinct values, ascending, as read-only arrays:
+        the values of each sorted column that exceed the one before them."""
+        return tuple(_read_only(column[np.diff(column, prepend=-np.inf) > 0])
+                     for column in np.sort(self.array, axis=0).T)
+
     @classmethod
     def make(cls, budgets, values) -> "Instance":
         """Build and validate an Instance from plain sequences; -0.0 reads
         as 0.0, as it does in a file."""
-        inst = cls(
-            tuple(float(b) + 0.0 for b in budgets),
-            tuple(tuple(float(v) + 0.0 for v in row) for row in values),
-        )
+        inst = cls((float(b) + 0.0 for b in budgets),
+                   ((float(v) + 0.0 for v in row) for row in values))
         problems = validate_instance(inst)
         if problems:
             raise ValidationError("; ".join(problems))
         return inst
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate_instance(inst: Instance) -> list[str]:

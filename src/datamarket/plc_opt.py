@@ -51,7 +51,7 @@ import numpy as np
 from . import lp
 from .demand import optimal_demand
 from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet, shardset_to_dict
-from .revenue import desires, interested, shard_revenue, value_array
+from .revenue import desires, interested, shard_revenue
 
 # Columns each round adds per dataset, at most.
 _ENTERING = 2
@@ -88,23 +88,17 @@ class _Market:
 
     @classmethod
     def of(cls, inst: Instance, scale: float) -> "_Market":
-        values = value_array(inst)
         raw = np.array(inst.budgets, dtype=float)
         # every desire is at most m times the scale, so a budget whose
         # quotient overflows never binds and may read as infinite
         with np.errstate(over="ignore"):
             budgets = raw / scale
-        # each dataset's values ascending, datasets as rows; an entry is
-        # distinct when it differs from the one before it
-        ordered = np.sort(values, axis=0).T
-        first = np.ones(ordered.shape, dtype=bool)
-        np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
-        distinct = ordered[first]
-        dataset = np.nonzero(first)[0]
+        distinct = np.concatenate(inst.distinct)
+        dataset = np.repeat(np.arange(inst.m), [column.size for column in inst.distinct])
         starts = np.searchsorted(dataset, np.arange(inst.m + 1))
         # infinite budgets never bind; zero budgets never pay
         payers = np.flatnonzero(np.isfinite(budgets) & (raw > 0))
-        return cls(interested(values[:, dataset], distinct), budgets, payers,
+        return cls(interested(inst.array[:, dataset], distinct), budgets, payers,
                    distinct, distinct / scale, dataset, starts)
 
     @cached_property
@@ -117,9 +111,8 @@ def _money_scale(inst: Instance) -> float:
     """The largest value or budget, each budget counted up to its buyer's
     total value, the most she can ever pay: one huge budget must not push
     every other amount below the solver's absolute tolerances."""
-    values = value_array(inst)
-    budgets = np.minimum(inst.budgets, values.sum(axis=1))
-    return float(max(values.max(), budgets.max())) or 1.0
+    budgets = np.minimum(inst.budgets, inst.array.sum(axis=1))
+    return float(max(inst.array.max(), budgets.max())) or 1.0
 
 
 def build_pricing_lp(inst: Instance) -> lp.LpProblem:

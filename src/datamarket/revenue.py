@@ -97,10 +97,6 @@ def revenue(budgets, buyer_desires):
     return 0.0 if total is None else total
 
 
-def value_array(inst: Instance) -> np.ndarray:
-    return np.array(inst.values, dtype=float).reshape(inst.n, inst.m)
-
-
 def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every shard as an item for buyers with per-unit ``values`` (``... x
     m``): the items' values (``... x m x T``), prices (slope times size) and
@@ -108,7 +104,7 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     at an infinite price, which nobody wants.  The ``m x T`` grid is built
     on every call; the per-buyer loops, ``plc_opt.extract_allocation`` and
     other callers of ``demand.optimal_demand``, build it once per market
-    through that function's memo, the library's one cache."""
+    through that function's memo of the last market's bundles."""
     values = np.asarray(values, dtype=float)
     if len(shards) != values.shape[-1]:
         raise ValueError(f"got {len(shards)} curves for {values.shape[-1]} datasets")
@@ -139,13 +135,13 @@ def buyer_desire(inst: Instance, i: int, prices) -> float:
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
     prices = _price_vector(inst, prices)
-    return float(desires(interested(np.array(inst.values[i]), prices), prices))
+    return float(desires(interested(inst.array[i], prices), prices))
 
 
 def linear_revenue(inst: Instance, prices) -> float:
     """Total revenue of a linear price vector: sum of min(budget, desire)."""
     prices = _price_vector(inst, prices)
-    return float(revenue(inst.budgets, desires(interested(value_array(inst), prices), prices)))
+    return float(revenue(inst.budgets, desires(interested(inst.array, prices), prices)))
 
 
 def shard_revenue(inst: Instance, shards: ShardSet) -> tuple[tuple[float, ...], float]:
@@ -154,7 +150,7 @@ def shard_revenue(inst: Instance, shards: ShardSet) -> tuple[tuple[float, ...], 
     Each buyer pays for exactly the shards whose slope does not exceed her
     per-unit value for the dataset, capped at her budget.
     """
-    desire = shard_desires(value_array(inst), shards)
+    desire = shard_desires(inst.array, shards)
     return tuple(np.minimum(inst.budgets, desire).tolist()), float(revenue(inst.budgets, desire))
 
 
@@ -181,6 +177,6 @@ def extension_value(inst: Instance, copies: CopySet) -> float:
             raise IndexError(f"copy index {copy} out of range for n={inst.n}")
         chosen.add((j, copy))
     datasets, owners = np.array(sorted(chosen), dtype=int).reshape(-1, 2).T
-    values = value_array(inst)
-    prices = values[owners, datasets]
-    return float(revenue(inst.budgets, desires(interested(values[:, datasets], prices), prices)))
+    prices = inst.array[owners, datasets]
+    wants = interested(inst.array[:, datasets], prices)
+    return float(revenue(inst.budgets, desires(wants, prices)))

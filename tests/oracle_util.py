@@ -18,7 +18,7 @@ import pytest
 
 from datamarket.fixtures import gen_random
 from datamarket.model import Bundle, Instance, ShardCurve
-from datamarket.revenue import desires, interested, value_array
+from datamarket.revenue import desires, interested
 
 
 def grid_demand_payment(price_of, value: float, budget: float, step: float = 1e-3) -> float:
@@ -255,7 +255,7 @@ def greedy_prices_reference(inst: Instance, order, choose) -> list[float]:
     """Greedy's prices scored on every buyer's full desire over all ``m``
     datasets, a ``(candidates + 1) x n x m`` array per dataset, with the
     budget-capped sum added one buyer at a time."""
-    values = value_array(inst)
+    values = np.array(inst.values, dtype=float)
     prices = np.zeros(inst.m)
     for j in order:
         cands = sorted({v for v in values[:, j].tolist() if v > 1e-9})  # the positive values

@@ -249,13 +249,19 @@ def test_optimal_demand_reads_a_list_shardset_again_after_it_changes():
     assert optimal_demand(inst, 1, shards).payment == 3.5
 
 
-def test_optimal_demand_reads_list_rows_again_after_they_change():
-    values = [[2.0, 1.0]]
-    inst = Instance([1.0], values)  # unvalidated, and its rows can change
+def test_an_instance_built_from_lists_keeps_its_values_when_they_change():
+    budgets, values = [1.0], [[2.0, 1.0]]
+    inst = Instance(budgets, values)  # unvalidated, from lists
     shards = (ShardCurve(((1.0, 1.0),)), ShardCurve(((1.0, 1.0),)))
-    assert optimal_demand(inst, 0, shards).fractions == (1.0, 0.0)
-    values[0][0] = 0.5
-    assert optimal_demand(inst, 0, shards).fractions == (0.0, 1.0)
+    kept = optimal_demand(inst, 0, shards)
+    assert kept.fractions == (1.0, 0.0)
+    budgets[0], values[0][0] = 5.0, 0.5
+    values.append([3.0, 3.0])
+    assert inst.budgets == (1.0,) and inst.values == ((2.0, 1.0),)
+    assert inst.array.tolist() == [[2.0, 1.0]]
+    assert optimal_demand(inst, 0, shards) is kept
+    optimal_demand(Instance.make([1.0], [[0.5, 1.0]]), 0, shards)  # keeps another instance
+    assert optimal_demand(inst, 0, shards) == kept
 
 
 def test_optimal_demand_keeps_two_instances_apart():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from datamarket.gaussian import (
@@ -36,6 +37,18 @@ def test_task_validation():
         GaussianTask(1.0, 0.0, (1.0,), (-1,))
     with pytest.raises(ValueError):
         GaussianTask(1.0, 0.0, (1.0, 2.0), (1,))
+
+
+@pytest.mark.parametrize("count", [math.inf, math.nan, 2.0, -1, True])
+def test_task_accepts_only_non_negative_integer_record_counts(count):
+    with pytest.raises(ValueError, match="record counts must be non-negative integers"):
+        GaussianTask(1.0, 0.0, (1.0, 1.0), (3, count))
+
+
+def test_task_accepts_numpy_integer_record_counts():
+    task = GaussianTask(1.0, 0.0, (1.0,), (np.int64(3),))
+    assert simulate_posterior_mse(task, 10, seed=0) == simulate_posterior_mse(
+        GaussianTask(1.0, 0.0, (1.0,), (3,)), 10, seed=0)
 
 
 @pytest.mark.parametrize("prior_mean", [math.nan, math.inf, -math.inf])

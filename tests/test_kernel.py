@@ -232,7 +232,7 @@ def test_sampled_marginals_equal_the_two_pass_reference():
             W = _copy_weights(inst)
             sel = _random_selection(rng, n, m, samples=16)
             want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
-            got = _sampled_gains(inst.budgets, W, sel, np.arange(n * m))
+            got = _sampled_gains(inst.budgets, W, sel, sel @ W.T, np.arange(n * m))
             assert np.array_equal(got, want_with - want_without)
             # the sample's own revenue is not what the picked copies give back
             own = np.array([left_to_right_revenue(inst.budgets, load) for load in sel @ W.T])
@@ -252,7 +252,7 @@ def test_sampled_marginals_on_empty_repeated_and_single_samples():
                     rows[rng.integers(0, 4, 24)],  # each row repeated, shuffled
                     rows[1:2]):  # one sample
             want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
-            _assert_same_bits(_sampled_gains(inst.budgets, W, sel, np.arange(n * m)),
+            _assert_same_bits(_sampled_gains(inst.budgets, W, sel, sel @ W.T, np.arange(n * m)),
                               want_with - want_without)
 
 
@@ -267,7 +267,7 @@ def test_an_unpicked_copy_gains_at_most_its_bound():
             inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
             W = _copy_weights(inst)
             sel = _random_selection(rng, n, m, samples=16)
-            gains = _sampled_gains(inst.budgets, W, sel, np.arange(n * m))
+            gains = _sampled_gains(inst.budgets, W, sel, sel @ W.T, np.arange(n * m))
             bound = (sel @ W.T < inst.budgets) @ W
             ceiling = revenue(inst.budgets, W.sum(axis=1))
             unpicked = sel == 0.0

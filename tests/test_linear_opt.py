@@ -180,8 +180,9 @@ def test_continuous_greedy_matches_the_two_pass_estimate(monkeypatch):
     got = [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
            for inst, seed in cases]
     # the reference prices every copy; continuous greedy asks for some columns
-    monkeypatch.setattr(linear_opt, "_sampled_gains", lambda budgets, W, sel, copies: np.subtract(
-        *sampled_marginals_reference(budgets, W, sel))[:, copies])
+    # and ignores the caller's load, computing its own from the selection
+    monkeypatch.setattr(linear_opt, "_sampled_gains", lambda budgets, W, sel, load, copies:
+                        np.subtract(*sampled_marginals_reference(budgets, W, sel))[:, copies])
     assert got == [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
                    for inst, seed in cases]
 

@@ -1,10 +1,15 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from datamarket.fixtures import gen_random
+from datamarket.linear_opt import candidate_prices
 from datamarket.model import (
     MAX_VALUE_TOTAL,
+    TOLERANCE,
     FormatError,
     Instance,
     ShardCurve,
@@ -101,6 +106,63 @@ def test_make_reads_negative_zero_as_zero():
     inst = Instance.make([1.0, -0.0], [[-0.0, 1.0], [0.0, -0]])
     numbers = inst.budgets + inst.values[0] + inst.values[1]
     assert [math.copysign(1.0, x) for x in numbers] == [1.0] * 6
+
+
+def _rounded(inst, digits):
+    """``inst`` with every value rounded, so columns hold ties."""
+    return Instance.make(inst.budgets, np.round(inst.array, digits).tolist())
+
+
+#: Instances whose columns hold ties, zeros, values near the tolerance, one
+#: buyer, one dataset, both signed zeros, and none of these.
+INDEX_CASES = [
+    Instance.make([1.0, 2.0, 3.0, 0.5], [[0.5, 0.0, 1e-9], [0.5, 1.0, 2e-9], [0.25, 1.0, 0.0],
+                                         [0.5, 0.0, 1e-9]]),
+    Instance.make([1.0], [[0.3, 0.0, 0.7]]),
+    Instance.make([1.0, 1.0, 2.0], [[0.2], [0.2], [0.1]]),
+    Instance((1.0, 2.0, 1.0), ((-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0))),  # built directly
+    gen_random(9, 4, seed=3),
+    _rounded(gen_random(30, 6, seed=8, budget_scale=0.5), 1),
+]
+
+
+def test_array_is_the_values_as_one_read_only_float_array():
+    inst = gen_random(5, 3, seed=2)
+    assert inst.array.dtype == float and inst.array.shape == (5, 3)
+    assert np.array_equal(inst.array, np.array(inst.values))
+    assert inst.array is inst.array  # built once
+    with pytest.raises(ValueError, match="read-only"):
+        inst.array[0, 0] = 1.0
+    assert inst.distinct is inst.distinct
+    with pytest.raises(ValueError, match="read-only"):
+        inst.distinct[0][0] = 1.0
+
+
+@pytest.mark.parametrize("inst", INDEX_CASES)
+def test_distinct_holds_each_datasets_distinct_values_ascending(inst):
+    assert len(inst.distinct) == inst.m
+    for j, column in enumerate(zip(*inst.values)):
+        assert inst.distinct[j].tolist() == sorted(set(column))
+
+
+@pytest.mark.parametrize("inst", INDEX_CASES)
+def test_candidate_prices_are_the_distinct_values_above_the_tolerance(inst):
+    for j in range(inst.m):
+        column = (inst.values[i][j] for i in range(inst.n))
+        assert candidate_prices(inst, j) == sorted(set(v for v in column if v > TOLERANCE))
+
+
+def test_the_arrays_leave_equality_and_hashing_as_they_were():
+    inst, twin = gen_random(4, 3, seed=5), gen_random(4, 3, seed=5)
+    before = hash(inst)
+    inst.array, inst.distinct  # build both
+    assert inst == twin and hash(inst) == hash(twin) == before
+    copy = dataclasses.replace(inst)
+    assert copy == inst and copy.array is not inst.array
+    assert np.array_equal(copy.array, inst.array)
+    changed = dataclasses.replace(inst, values=tuple((0.5,) * 3 for _ in range(4)))
+    assert changed.array.tolist() == [[0.5] * 3] * 4
+    assert [d.tolist() for d in changed.distinct] == [[0.5]] * 3
 
 
 def test_make_raises_on_bad_instance():
