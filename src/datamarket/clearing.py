@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .demand import allocate
-from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet
+from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet, check_prices
 from .revenue import desires, interested, left_to_right, revenue, shard_items
 
 
@@ -82,9 +82,7 @@ class ItemMarket:
     def scan(self, prices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The prices as an array, who wants which item at them, and desires."""
         values, _, sizes = self.arrays
-        q = np.asarray(self.prices if prices is None else prices, dtype=float)
-        if q.shape != (self.num_items,):
-            raise ValueError(f"got {q.size} prices for {self.num_items} items")
+        q = check_prices(self.prices if prices is None else prices, self.num_items, "items")
         wants = interested(values, q, sizes)
         return q, wants, desires(wants, q)
 
@@ -98,9 +96,7 @@ class ClearabilizeResult:
 
 def market_from_prices(inst: Instance, prices) -> ItemMarket:
     """Each dataset is one item at its linear price."""
-    prices = tuple(float(p) for p in prices)
-    if len(prices) != inst.m:
-        raise ValueError(f"got {len(prices)} prices for {inst.m} datasets")
+    prices = tuple(check_prices(prices, inst.m).tolist())
     return ItemMarket(prices, inst.values, inst.budgets, tuple((j, 0) for j in range(inst.m)))
 
 

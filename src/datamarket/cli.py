@@ -32,8 +32,10 @@ def _parse_params(raw: str | None) -> dict[str, str]:
         for piece in raw.split(","):
             if "=" not in piece:
                 raise ValueError(f"malformed parameter {piece!r}, expected key=value")
-            key, value = piece.split("=", 1)
-            params[key.strip()] = value.strip()
+            key, value = (part.strip() for part in piece.split("=", 1))
+            if key in params:
+                raise ValueError(f"parameter {key!r} given twice")
+            params[key] = value
     return params
 
 
@@ -86,19 +88,12 @@ def _cmd_solve_linear(args) -> dict:
     return doc
 
 
-def _load_shards(args, inst):
+def _cmd_demand(args) -> dict:
+    inst = load_instance(args.instance)
     if args.shards:
         shards = load_shardset(args.shards)
     else:
         shards = prices_to_shardset(load_prices(args.prices))
-    if len(shards) != inst.m:
-        raise ValidationError(f"pricing covers {len(shards)} datasets, instance has {inst.m}")
-    return shards
-
-
-def _cmd_demand(args) -> dict:
-    inst = load_instance(args.instance)
-    shards = _load_shards(args, inst)
     if not 0 <= args.buyer < inst.n:
         raise ValidationError(f"buyer index {args.buyer} out of range for n={inst.n}")
     bundle = optimal_demand(inst, args.buyer, shards)
@@ -108,7 +103,7 @@ def _cmd_demand(args) -> dict:
 def _cmd_clear(args) -> dict:
     inst = load_instance(args.instance)
     if args.shards:
-        market = clearing.shards_to_items(inst, _load_shards(args, inst))
+        market = clearing.shards_to_items(inst, load_shardset(args.shards))
     else:
         market = clearing.market_from_prices(inst, load_prices(args.prices))
     result = clearing.clearabilize(market)

@@ -11,6 +11,7 @@ mean-squared error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class GaussianTask:
         for x in self.record_counts:
             if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
                 raise ValueError("record counts must be non-negative integers")
+            if x > sys.float_info.max:  # tau * x could not convert it
+                raise ValueError("record counts must be at most the largest float")
         if not math.isfinite(self.prior_precision + theoretical_gain(self)):
             raise ValueError("total precision (prior plus records) must be finite")
 

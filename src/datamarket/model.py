@@ -244,9 +244,25 @@ def partition_prices(inst: Instance, part: Partition) -> tuple[float, ...]:
     return tuple(0.0 if who is None else inst.values[who][j] for j, who in enumerate(part))
 
 
+def check_prices(prices, count: int, items: str = "datasets") -> np.ndarray:
+    """A linear price vector of ``count`` prices as a new float array.
+
+    Raises ValidationError unless it holds exactly ``count`` prices and each
+    is finite and non-negative, the invariant in this module's docstring.
+    The array is always a copy, which a caller may change in place.
+    """
+    q = np.array(prices, dtype=float)
+    if q.shape != (count,):
+        raise ValidationError(f"got {q.size} prices for {count} {items}")
+    bad = np.flatnonzero(~(np.isfinite(q) & (q >= 0)))
+    if bad.size:
+        raise ValidationError(f"invalid price at index {bad[0]}: {float(q[bad[0]])}")
+    return q
+
+
 def prices_to_shardset(prices) -> ShardSet:
     """Encode a linear price vector as a one-shard-per-dataset ShardSet."""
-    return tuple(ShardCurve(((1.0, float(p)),)) for p in prices)
+    return tuple(ShardCurve(((1.0, p),)) for p in check_prices(prices, len(prices)).tolist())
 
 
 @dataclass(frozen=True)
@@ -351,11 +367,8 @@ def load_prices(path) -> tuple[float, ...]:
     """Load a price vector from JSON: {"prices": [...]}."""
     (raw_prices,) = _read_json(
         path, ("prices",), 'price file must be an object with a "prices" array')
-    prices = tuple(_require_number(p, "price") for p in raw_prices)
-    for j, p in enumerate(prices):
-        if math.isnan(p) or math.isinf(p) or p < 0:
-            raise ValidationError(f"invalid price at index {j}: {p}")
-    return prices
+    prices = [_require_number(p, "price") for p in raw_prices]
+    return tuple(check_prices(prices, len(prices)).tolist())
 
 
 def save_prices(prices, path) -> None:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import TOLERANCE, Instance, Partition, ShardSet, partition_prices
+from .model import TOLERANCE, Instance, Partition, ShardSet, check_prices, partition_prices
 
 #: A CopySet is a set of (dataset j, buyer copy l) pairs; the pair (j, l)
 #: means "dataset j is priced at buyer l's value".  Unlike a Partition, a
@@ -123,24 +123,17 @@ def shard_desires(values, shards: ShardSet) -> np.ndarray:
     return left_to_right(desires(interested(items, prices, sizes), prices))
 
 
-def _price_vector(inst: Instance, prices) -> np.ndarray:
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != (inst.m,):
-        raise ValueError(f"got {prices.size} prices for {inst.m} datasets")
-    return prices
-
-
 def buyer_desire(inst: Instance, i: int, prices) -> float:
     """Money buyer ``i`` needs to buy every dataset she values at its price."""
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
-    prices = _price_vector(inst, prices)
+    prices = check_prices(prices, inst.m)
     return float(desires(interested(inst.array[i], prices), prices))
 
 
 def linear_revenue(inst: Instance, prices) -> float:
     """Total revenue of a linear price vector: sum of min(budget, desire)."""
-    prices = _price_vector(inst, prices)
+    prices = check_prices(prices, inst.m)
     return float(revenue(inst.budgets, desires(interested(inst.array, prices), prices)))
 
 

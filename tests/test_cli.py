@@ -300,6 +300,8 @@ def test_values_whose_total_could_overflow_are_a_one_line_error(capsys, tmp_path
     (["--tau", "1e308", "--counts", "2"], "total precision"),
     (["--mean", "nan", "--tau", "1", "--counts", "2"], "prior mean must be finite"),
     (["--tau0", "1e-320", "--tau", "1e-310", "--counts", "2"], "the simulated MSE is inf"),
+    (["--tau", "1", "--counts", "1" + "0" * 400],
+     "record counts must be at most the largest float"),
 ])
 def test_validate_gaussian_overflow_is_a_one_line_error(capsys, flags, message):
     # any warning fails the suite, so none may be printed on the way
@@ -513,9 +515,41 @@ def test_a_bad_shard_set_is_a_one_line_error(capsys, tmp_path, text, message):
     ("vc", "eps=0", "eps must be positive"),
     ("random", "m=0", "n and m must be at least 1"),
     ("random", "budget_scale=0", "scales must be positive"),
+    ("random", "n=3,n=5", "parameter 'n' given twice"),
+    ("lingap", "eps=0.1, eps =0.2", "parameter 'eps' given twice"),
 ])
 def test_gen_names_each_bad_parameter(capsys, tmp_path, family, params, message):
     out_path = tmp_path / "generated.json"
     _one_line_error(capsys, ["gen", "--family", family, "--params", params, "--out",
                              str(out_path)], message)
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["demand", "clear"])
+@pytest.mark.parametrize("flag", ["--prices", "--shards"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_a_pricing_of_the_wrong_length_is_a_one_line_error(capsys, tmp_path, command, flag,
+                                                            count):
+    inst_path, pricing_path = tmp_path / "inst.json", tmp_path / "pricing.json"
+    save_instance(gen_nonsub(0.001), inst_path)  # two datasets
+    if flag == "--prices":
+        save_prices((1.0,) * count, pricing_path)
+    else:
+        save_shardset(prices_to_shardset((1.0,) * count), pricing_path)
+    noun = "prices" if (command, flag) == ("clear", "--prices") else "curves"
+    argv = [command, "--instance", str(inst_path), flag, str(pricing_path)]
+    _one_line_error(capsys, argv + (["--buyer", "0"] if command == "demand" else []),
+                    f"got {count} {noun} for 2 datasets")
+
+
+@pytest.mark.parametrize("command", ["demand", "clear"])
+@pytest.mark.parametrize("literal, shown", [("-1.0", "-1.0"), ("NaN", "nan"),
+                                            ("Infinity", "inf"), ("-Infinity", "-inf")])
+def test_an_invalid_price_in_a_file_is_a_one_line_error(capsys, tmp_path, command, literal,
+                                                        shown):
+    inst_path, price_path = tmp_path / "inst.json", tmp_path / "prices.json"
+    save_instance(gen_nonsub(0.001), inst_path)
+    price_path.write_text(f'{{"prices": [0.5, {literal}]}}')  # json reads NaN and Infinity
+    argv = [command, "--instance", str(inst_path), "--prices", str(price_path)]
+    _one_line_error(capsys, argv + (["--buyer", "0"] if command == "demand" else []),
+                    f"invalid price at index 1: {shown}")

@@ -45,6 +45,12 @@ def test_task_accepts_only_non_negative_integer_record_counts(count):
         GaussianTask(1.0, 0.0, (1.0, 1.0), (3, count))
 
 
+@pytest.mark.parametrize("count", [10**400, 2**1024], ids=["1e400", "2**1024"])
+def test_task_rejects_a_record_count_too_large_for_a_float(count):
+    with pytest.raises(ValueError, match="record counts must be at most the largest float"):
+        GaussianTask(1.0, 0.0, (1.0, 1.0), (3, count))
+
+
 def test_task_accepts_numpy_integer_record_counts():
     task = GaussianTask(1.0, 0.0, (1.0,), (np.int64(3),))
     assert simulate_posterior_mse(task, 10, seed=0) == simulate_posterior_mse(

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from datamarket.clearing import ItemMarket, clearing_allocation, is_clearable, market_from_prices
+from datamarket.demand import optimal_demand
 from datamarket.fixtures import gen_random
 from datamarket.linear_opt import candidate_prices
 from datamarket.model import (
@@ -14,6 +16,7 @@ from datamarket.model import (
     Instance,
     ShardCurve,
     ValidationError,
+    check_prices,
     load_instance,
     load_prices,
     load_shardset,
@@ -24,6 +27,7 @@ from datamarket.model import (
     save_shardset,
     validate_instance,
 )
+from datamarket.revenue import buyer_desire, linear_revenue
 
 
 def write(tmp_path, doc):
@@ -222,6 +226,52 @@ def test_load_prices_rejects_negative(tmp_path):
     path.write_text(json.dumps({"prices": [-1.0]}))
     with pytest.raises(ValidationError):
         load_prices(path)
+
+
+def _loaded(prices, path):
+    save_prices(prices, path)  # json writes NaN, Infinity and -Infinity
+    return load_prices(path)
+
+
+#: Every entry point that takes a caller's linear prices, as (instance,
+#: prices, scratch file) -> anything; an item market's own prices count too.
+_PRICE_READERS = {
+    "linear_revenue": lambda inst, q, _: linear_revenue(inst, q),
+    "buyer_desire": lambda inst, q, _: buyer_desire(inst, 0, q),
+    "market_from_prices": lambda inst, q, _: market_from_prices(inst, q),
+    "is_clearable": lambda inst, q, _: is_clearable(market_from_prices(inst, (0.5,) * 3), q),
+    "clearing_allocation": lambda inst, q, _: clearing_allocation(
+        market_from_prices(inst, (0.5,) * 3), q),
+    "own is_clearable": lambda inst, q, _: is_clearable(
+        ItemMarket(tuple(q), inst.values, inst.budgets)),
+    "own clearing_allocation": lambda inst, q, _: clearing_allocation(
+        ItemMarket(tuple(q), inst.values, inst.budgets)),
+    "optimal_demand": lambda inst, q, _: optimal_demand(inst, 0, prices_to_shardset(q)),
+    "load_prices": lambda inst, q, path: _loaded(q, path),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("read", _PRICE_READERS.values(), ids=_PRICE_READERS)
+def test_every_price_reader_rejects_an_invalid_price(tmp_path, read, bad):
+    inst = gen_random(4, 3, seed=2)
+    with pytest.raises(ValidationError) as exc:
+        read(inst, [0.5, bad, 0.5], tmp_path / "prices.json")
+    assert str(exc.value) == f"invalid price at index 1: {bad}"
+
+
+@pytest.mark.parametrize("read", _PRICE_READERS.values(), ids=_PRICE_READERS)
+def test_every_price_reader_takes_valid_prices(tmp_path, read):
+    # zero prices, -0.0 among them, clear every market
+    read(gen_random(4, 3, seed=2), [0.0, -0.0, 0.0], tmp_path / "prices.json")
+
+
+def test_check_prices_returns_a_new_float_array():
+    given = np.array([0.25, 1.5])
+    q = check_prices(given, 2)
+    assert q.dtype == float and q.tolist() == [0.25, 1.5]
+    assert not np.shares_memory(q, given)
+    assert check_prices((1, 0), 2).tolist() == [1.0, 0.0]
 
 
 _INSTANCE_SHAPE = 'instance file must be an object with "budgets" and "values"'
