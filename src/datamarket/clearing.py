@@ -46,7 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from .demand import allocate
-from .model import TOLERANCE, Allocation, Bundle, Instance, ShardSet, check_prices
+from .model import (TOLERANCE, Allocation, Bundle, Instance, ShardSet, ValidationError,
+                    check_prices)
 from .revenue import desires, interested, left_to_right, revenue, shard_items
 
 
@@ -74,10 +75,22 @@ class ItemMarket:
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(values, budgets, sizes)`` as numpy arrays."""
+        """``(values, budgets, sizes)`` as numpy arrays.
+
+        Raises ValidationError on a NaN, infinite or negative value and on a
+        NaN or negative budget; an infinite budget is legal, as in
+        ``Instance``."""
         values = np.array(self.values, dtype=float).reshape(self.num_buyers, self.num_items)
+        budgets = np.array(self.budgets, dtype=float)
+        # a NaN makes the minimum NaN, which fails the test
+        if not (values.min(initial=0.0) >= 0 and np.isfinite(values.max(initial=0.0))):
+            i, k = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
+            raise ValidationError(f"invalid value at ({i}, {k}): {values[i, k]}")
+        if not budgets.min(initial=0.0) >= 0:
+            i = np.flatnonzero(~(budgets >= 0))[0]
+            raise ValidationError(f"invalid budget for buyer {i}: {budgets[i]}")
         sizes = np.array(self.sizes or (1.0,) * self.num_items, dtype=float)
-        return values, np.array(self.budgets, dtype=float), sizes
+        return values, budgets, sizes
 
     def scan(self, prices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The prices as an array, who wants which item at them, and desires."""

@@ -7,11 +7,14 @@ prices datasets one at a time (online-capable, 2-approximate on any order),
 marginal gain, and ``continuous_greedy`` maximizes the multilinear extension
 of the copied-ground-set revenue over the partition matroid, then rounds; each
 of its steps computes exact gains only for the copies that a cheap upper bound
-leaves able to win.
+leaves able to win, and reads who wants which copy from each dataset's buyers
+sorted by value.  Nothing here holds an array of ``n^2 m`` entries, and
+``exact_bruteforce`` holds the full grid only for its revenue.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -58,16 +61,37 @@ def _solution(inst: Instance, prices, method: str, diagnostics: dict,
     return LinearSolution(prices, partition, linear_revenue(inst, prices), method, diagnostics)
 
 
+#: ``exact_bruteforce`` sums its grid in tiles of at most this many points,
+#: so a buyer's desire and the capped sums it adds to take a tile's memory
+#: and only the revenue itself takes the full grid's.
+TILE_POINTS = 2**15
+
+
+def _grid_tiles(shape) -> list[tuple[slice, ...]]:
+    """Blocks that cover a grid of ``shape`` in C order, each of at most
+    ``TILE_POINTS`` points and each a run of consecutive flat indices: the
+    axes after some axis ``k`` stay whole, axis ``k`` is cut into runs that
+    fit, and every axis before it takes one index at a time."""
+    k = 0
+    while math.prod(shape[k + 1:]) > TILE_POINTS:
+        k += 1
+    runs = [1] * k + [TILE_POINTS // math.prod(shape[k + 1:])] + list(shape[k + 1:])
+    return list(itertools.product(*([slice(t, t + run) for t in range(0, size, run)]
+                                    for size, run in zip(shape, runs))))
+
+
 def exact_bruteforce(inst: Instance) -> LinearSolution:
     """Enumerate every price vector on the per-dataset value grids.
 
     Each buyer's desire over the grid adds the active datasets' gains in
     index order from a ``0.0`` start, one axis at a time: the partial sum
     over the datasets added so far spans only their axes.  From the dataset
-    of the last axis on, the sum spans the whole grid and goes into one
-    buffer that every buyer reuses.  Every grid point sees the same adds in
-    the same order as on a full grid, so the bits are the same, at about
-    one full-grid pass per buyer instead of one per active dataset.
+    of the last axis on, the sum spans the whole tile and goes into one
+    buffer that every buyer reuses.  The grid is summed one tile
+    (``_grid_tiles``) at a time, each in one ``revenue`` call whose result
+    goes into the full-grid revenue.  Every grid point sees the same adds
+    in the same order as on a full grid, so the bits are the same, at about
+    one tile pass per buyer instead of one per active dataset.
 
     Ties are broken toward the lexicographically smallest grid-index tuple.
     Raises ValueError when the grid is larger than ``DEFAULT_GRID_CAP``.
@@ -86,17 +110,24 @@ def exact_bruteforce(inst: Instance) -> LinearSolution:
         gain = np.where(interested(inst.array[:, j, None], cj), cj, 0.0)
         gains.append(gain.reshape(inst.n, *(cj.size if k == j else 1 for k in axes)))
 
-    full_from = active.index(axes[-1]) if axes else 0  # the first gain over the whole grid
+    full_from = active.index(axes[-1]) if axes else 0  # the first gain over the whole tile
+    grid = np.empty(shape)
 
-    def grid_desires():
-        desire = np.empty(shape)
+    def tile_desires(tile):
+        # each gain's own axis takes the tile's cut; its other axes have size 1
+        tiled = [gain[(slice(None), *(cut if size > 1 else slice(None)
+                                      for cut, size in zip(tile, gain.shape[1:])))]
+                 for gain in gains]
+        desire = np.empty(grid[tile].shape)
         for i in range(inst.n):
             partial = 0.0
-            for k, gain in enumerate(gains):
+            for k, gain in enumerate(tiled):
                 partial = np.add(partial, gain[i], out=desire if k >= full_from else None)
             yield partial
 
-    best = np.unravel_index(int(np.argmax(revenue(inst.budgets, grid_desires()))), shape)
+    for tile in _grid_tiles(shape):
+        grid[tile] = revenue(inst.budgets, tile_desires(tile))
+    best = np.unravel_index(int(np.argmax(grid)), shape)
     choice = dict(zip(axes, best))
     prices = [0.0] * inst.m
     for j in active:
@@ -176,11 +207,33 @@ def randomized_greedy(inst: Instance, seed: int) -> LinearSolution:
     return _solution(inst, prices, "rgreedy", {"seed": seed, "marginals": tuple(marginals)})
 
 
-def _copy_weights(inst: Instance) -> np.ndarray:
-    """W[i, l*m + j] = what copy (j, l) adds to buyer i's desire."""
-    prices = inst.array[None, :, :]  # copy (j, l) is priced at buyer l's value
-    W = np.where(interested(inst.array[:, None, :], prices), prices, 0.0)
-    return W.reshape(inst.n, inst.n * inst.m)
+def _value_index(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Who wants which copy, read from each dataset's buyers in value order.
+
+    Copy ``(j, l)`` is dataset ``j`` priced at buyer ``l``'s value, and the
+    buyers who want it are a suffix of ``order[:, j]``, each dataset's
+    buyers by ascending value, from rank ``from_rank[l, j]`` on (``n x m``
+    both).  The copies a buyer wants are in turn a prefix of the sorted
+    values, so ``reach[i]``, what every copy together adds to buyer ``i``'s
+    desire, adds the prefix sums of the sorted values in dataset order.
+    """
+    order = np.argsort(inst.array, axis=0, kind="stable")
+    ranked = np.take_along_axis(inst.array, order, axis=0)
+    from_rank, wanted = np.empty((2, inst.n, inst.m), dtype=int)
+    for j, (column, values) in enumerate(zip(ranked.T, inst.array.T)):
+        # the same comparisons as ``interested``, as searches on a sorted column
+        from_rank[:, j] = np.searchsorted(column, values - TOLERANCE, side="left")
+        wanted[:, j] = np.searchsorted(column - TOLERANCE, values, side="right")
+    prefix = np.cumsum(np.vstack([np.zeros(inst.m), ranked]), axis=0)  # row k: the k smallest
+    return order, from_rank, left_to_right(np.take_along_axis(prefix, wanted, axis=0))
+
+
+def _copy_columns(inst: Instance, copies: np.ndarray) -> np.ndarray:
+    """What each copy ``l*m + j`` in ``copies`` adds to each buyer's desire
+    (``n x len(copies)``): buyer ``l``'s value for ``j`` where she wants it."""
+    owners, datasets = np.divmod(copies, inst.m)
+    prices = inst.array[owners, datasets]
+    return np.where(interested(inst.array[:, datasets], prices), prices, 0.0)
 
 
 def _sample_copy_choices(y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -189,53 +242,81 @@ def _sample_copy_choices(y: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (np.cumsum(y, axis=0) <= uniforms[..., None, :]).sum(axis=-2)
 
 
-def _revenue_with_each_copy(budgets, W: np.ndarray, load: np.ndarray) -> np.ndarray:
+def _sample_loads(inst: Instance, choices: np.ndarray) -> np.ndarray:
+    """Every buyer's desire in each sample (``samples x n``).  A sample picks
+    at most one copy per dataset, so it is a linear price vector, the picked
+    copy's value or ``0.0``, and its loads are the desires under it: each
+    dataset's price where the buyer is ``interested``, added dataset by
+    dataset from ``0.0`` as ``desires`` adds them, every sample at once."""
+    prices = np.vstack([inst.array, np.zeros(inst.m)])[choices, np.arange(inst.m)]
+    load = np.zeros((len(choices), inst.n))
+    for values, price in zip(inst.array.T, prices.T[:, :, None]):
+        load += np.where(interested(values, price), price, 0.0)
+    return load
+
+
+def _revenue_with_each_copy(budgets, columns: np.ndarray, load: np.ndarray) -> np.ndarray:
     """Each sample's revenue with each copy added to its desires ``load``
-    (``samples x n*m``): one dense pass per buyer, ``load + W[i]``.  The pass
-    depends on a sample only through its ``load`` row, so it runs once per
-    distinct row (keyed by the row's bytes) into one buffer that every buyer
-    reuses, and the result is copied out to the samples that share the row.
+    (``samples x copies``, for the copies' ``n x copies`` ``columns``): one
+    dense pass per buyer, ``load + columns[i]``.  The pass depends on a
+    sample only through its ``load`` row, so it runs once per distinct row
+    (keyed by the row's bytes) into one buffer that every buyer reuses, and
+    the result is copied out to the samples that share the row.
     """
     slot = {}  # a row's bytes -> its index among the distinct rows, in first-seen order
     inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in load]
     distinct = load[np.unique(inverse, return_index=True)[1]]
-    desire = np.empty((len(distinct), W.shape[1]))
+    desire = np.empty((len(distinct), columns.shape[1]))
     return revenue(budgets, (np.add(distinct[:, i, None], w, out=desire)
-                             for i, w in enumerate(W)))[inverse]
+                             for i, w in enumerate(columns)))[inverse]
 
 
-def _sampled_gains(budgets, W: np.ndarray, sel: np.ndarray, load: np.ndarray,
+def _sampled_gains(inst: Instance, choices: np.ndarray, load: np.ndarray,
                    copies: np.ndarray) -> np.ndarray:
-    """Each sample's revenue gain from each of the copies ``copies`` (indices
-    into ``W``'s columns, ``samples x len(copies)``): its revenue with the
-    copy minus its revenue without it.
+    """Each sample's revenue gain from each of the copies ``copies`` (copy
+    ``(j, l)`` is ``l*m + j``; ``samples x len(copies)``): its revenue with
+    the copy minus its revenue without it.
 
-    ``sel`` marks the copies each sample picked and ``load``, ``sel @ W.T``
-    (``samples x n``), is every buyer's desire in each sample; the caller
-    computes it once a step for the bound and both calls.  Leaving out a copy
-    the sample did not pick subtracts ``+0.0``, which leaves ``load`` as it
-    is, so the gain is ``_revenue_with_each_copy`` (one pass per distinct
-    ``load`` row: the first step, where no sample picks anything, prices one
-    row) minus the sample's own revenue.  Only the picked copies, at most one
-    per dataset and sample, take the desire with the copy left out, ``load -
-    W[i]``, and add the copy back; rounding makes that differ from ``load``.
-    Every sum adds in buyer order through ``revenue``, one copy at a time, so
-    a copy's gains have the same bits whichever other copies are asked for.
+    ``choices`` holds each sample's pick per dataset and ``load``
+    (``_sample_loads``) every buyer's desire in each sample; the caller
+    computes it once a step for the bound and both calls.  Leaving out a
+    copy the sample did not pick leaves ``load`` as it is, so the gain is
+    ``_revenue_with_each_copy`` (one pass per distinct ``load`` row: the
+    first step, where no sample picks anything, prices one row) minus the
+    sample's own revenue.  Only the picked copies, at most one per dataset
+    and sample, take the desire with the copy left out, ``load - w``, and
+    add the copy back; rounding makes that differ from ``load``.  Every sum
+    adds in buyer order through ``revenue``, one copy at a time, so a
+    copy's gains have the same bits whichever other copies are asked for.
     """
-    gains = _revenue_with_each_copy(budgets, W[:, copies], load)
-    gains -= revenue(budgets, load.T)[:, None]
-    sample_idx, column = np.nonzero(sel[:, copies])
-    w = W[:, copies[column]]  # n x picked
+    columns = _copy_columns(inst, copies)
+    gains = _revenue_with_each_copy(inst.budgets, columns, load)
+    gains -= revenue(inst.budgets, load.T)[:, None]
+    owners, datasets = np.divmod(copies, inst.m)
+    sample_idx, column = np.nonzero(choices[:, datasets] == owners)
+    w = columns[:, column]  # n x picked
     without = load[sample_idx].T - w
-    gains[sample_idx, column] = revenue(budgets, without + w) - revenue(budgets, without)
+    gains[sample_idx, column] = (revenue(inst.budgets, without + w)
+                                 - revenue(inst.budgets, without))
     return gains
+
+
+def _gain_bound(inst: Instance, order: np.ndarray, from_rank: np.ndarray,
+                load: np.ndarray) -> np.ndarray:
+    """Each copy's mean gain bound over the samples (``n x m``): its value
+    times the share of samples in which each buyer who wants it is under
+    budget, those shares summed over the buyers in value order from the
+    copy's first-wanting rank (``_value_index``)."""
+    under = np.mean(load < inst.budgets, axis=0)[order]  # n x m, in value order
+    suffix = np.cumsum(under[::-1], axis=0)[::-1]
+    return inst.array * np.take_along_axis(suffix, from_rank, axis=0)
 
 
 def _copies_that_may_win(bound: np.ndarray, marginal: np.ndarray, margin: float) -> np.ndarray:
     """The copies not yet priced (``marginal`` is ``-inf``; both arrays are
     ``n x m``) whose mean gain bound comes within ``margin`` of the best
-    marginal priced so far for their dataset, as indices into ``W``'s
-    columns.  With nothing priced for a dataset, each of its copies may win."""
+    marginal priced so far for their dataset, as copy indices ``l*m + j``.
+    With nothing priced for a dataset, each of its copies may win."""
     floor = marginal.max(axis=0)
     return np.flatnonzero((marginal == -np.inf) & (bound >= floor - margin))
 
@@ -259,46 +340,45 @@ def continuous_greedy(
     with the largest ``extension_value`` is kept, the first drawn on a tie.
     Fully determined by ``seed``.
 
-    A copy no sample picked gains a sample at most ``sum_i W[i, c]`` over
-    the buyers whose desire ``load_i`` is below their budget, since
-    ``min(b_i, load_i + W[i, c]) - min(b_i, load_i)`` is 0 for the others;
-    its mean over the samples is one product, ``mean(load < b) @ W``.  Each
-    step computes exact gains first for the copies any sample picked and
-    each dataset's copy of largest bound, which sets a floor under the
-    dataset's best marginal, then for every other copy whose bound comes
-    within a margin of that floor.  A copy left out falls short of the
-    floor by more than the margin, so it can neither win nor tie, and the
-    step commits what pricing every copy would.
+    A copy no sample picked gains a sample at most its value summed over
+    the buyers who want it and whose desire ``load_i`` is below their
+    budget, since ``min(b_i, load_i + w) - min(b_i, load_i)`` is 0 for the
+    others; ``_gain_bound`` takes its mean over the samples from the value
+    index.  Each step computes exact gains first for the copies any sample
+    picked and each dataset's copy of largest bound, which sets a floor
+    under the dataset's best marginal, then for every other copy whose
+    bound comes within a margin of that floor.  A copy left out falls short
+    of the floor by more than the margin, so it can neither win nor tie,
+    and the step commits what pricing every copy would.
     """
     if steps < 1 or samples < 1 or roundings < 1:
         raise ValueError("steps, samples and roundings must all be at least 1")
     rng = np.random.default_rng(seed)
     n, m = inst.n, inst.m
-    W = _copy_weights(inst)
+    order, from_rank, reach = _value_index(inst)
     # The screen's margin.  Every revenue a step computes adds n capped
-    # desires, and no desire exceeds the buyer's weights over all copies, so
+    # desires, and no desire exceeds the buyer's reach over all copies, so
     # each revenue lies below this ceiling.  A float sum of n such terms errs
     # by about n * 2.2e-16 of the ceiling (about 1e-14 at n = 100), and so
-    # do a gain, a mean over samples and the bound's product.  1e-9 of the
-    # ceiling covers those errors up to millions of buyers, and it scales
+    # do a gain, a mean over samples and the bound's suffix sums.  1e-9 of
+    # the ceiling covers those errors up to millions of buyers, and it scales
     # with the money unit as the revenues do.
-    margin = 1e-9 * float(revenue(inst.budgets, W.sum(axis=1)))
+    margin = 1e-9 * float(revenue(inst.budgets, reach))
     y = np.zeros((n, m))
 
     step_marginals, step_spreads = [], []
     for _ in range(steps):
         choices = _sample_copy_choices(y, rng.random((samples, m)))  # samples x m
-        # sel[s, l*m + j] = 1.0 where sample s picked copy (j, l)
-        sel = (choices[:, None, :] == np.arange(n)[:, None]).reshape(samples, n * m) * 1.0
-        load = sel @ W.T  # samples x n: every buyer's desire in each sample
-        bound = (np.mean(load < inst.budgets, axis=0) @ W).reshape(n, m)
+        load = _sample_loads(inst, choices)  # samples x n
+        bound = _gain_bound(inst, order, from_rank, load)
         marginal = np.full((n, m), -np.inf)  # -inf: not priced in this step
-        first = np.union1d(np.flatnonzero(sel.any(axis=0)), bound.argmax(axis=0) * m + np.arange(m))
-        first_gains = _sampled_gains(inst.budgets, W, sel, load, first)
+        picked = (choices * m + np.arange(m))[choices < n]
+        first = np.union1d(picked, bound.argmax(axis=0) * m + np.arange(m))
+        first_gains = _sampled_gains(inst, choices, load, first)
         # each mean adds the samples in order, however many copies it covers
         marginal.flat[first] = left_to_right(first_gains.T) / samples
         rest = _copies_that_may_win(bound, marginal, margin)
-        rest_gains = _sampled_gains(inst.budgets, W, sel, load, rest)
+        rest_gains = _sampled_gains(inst, choices, load, rest)
         marginal.flat[rest] = left_to_right(rest_gains.T) / samples
         best = marginal.argmax(axis=0)  # the best copy per dataset
         y[best, np.arange(m)] += 1.0 / steps

@@ -21,7 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import TOLERANCE, Instance, Partition, ShardSet, check_prices, partition_prices
+from .model import (TOLERANCE, Instance, Partition, ShardSet, ValidationError, check_prices,
+                    partition_prices)
 
 #: A CopySet is a set of (dataset j, buyer copy l) pairs; the pair (j, l)
 #: means "dataset j is priced at buyer l's value".  Unlike a Partition, a
@@ -104,15 +105,25 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     at an infinite price, which nobody wants.  The ``m x T`` grid is built
     on every call; the per-buyer loops, ``plc_opt.extract_allocation`` and
     other callers of ``demand.optimal_demand``, build it once per market
-    through that function's memo of the last market's bundles."""
+    through that function's memo of the last market's bundles.  Raises
+    ValidationError, with ``ShardCurve.validate``'s messages, on a curve
+    with no shard, a non-positive shard size or a negative or non-finite
+    slope."""
     values = np.asarray(values, dtype=float)
     if len(shards) != values.shape[-1]:
         raise ValueError(f"got {len(shards)} curves for {values.shape[-1]} datasets")
-    width = max(len(curve.shards) for curve in shards)
-    grid = np.array([curve.shards + ((0.0, 0.0),) * (width - len(curve.shards))
-                     for curve in shards])
-    sizes = grid[..., 0]
-    prices = np.where(sizes > 0, grid[..., 1] * sizes, math.inf)
+    lengths = [len(curve.shards) for curve in shards]
+    width = max([1, *lengths])
+    grid = np.array([curve.shards + ((0.0, 0.0),) * (width - k)
+                     for curve, k in zip(shards, lengths)])
+    sizes, slopes = grid[..., 0], grid[..., 1]
+    # a curve built directly skips ``from_pairs``' check; a pad's size 0 is
+    # never valid, so every real shard is valid when the valid ones add up
+    valid = (sizes > 0) & (slopes >= 0) & (slopes < math.inf)
+    if np.count_nonzero(valid) < sum(lengths) or 0 in lengths:
+        j = next(j for j, k in enumerate(lengths) if not (k and valid[j, :k].all()))
+        raise ValidationError(f"curve {j}: " + "; ".join(shards[j].validate()))
+    prices = np.where(sizes > 0, slopes * sizes, math.inf)
     return values[..., None] * sizes, prices, sizes
 
 

@@ -200,13 +200,34 @@ def left_to_right_revenue(budgets, desires) -> float:
     return total
 
 
-def sampled_marginals_reference(budgets, W, sel):
+def copy_weights_reference(inst: Instance) -> np.ndarray:
+    """Continuous greedy's copies as one dense ``n x n*m`` matrix:
+    ``W[i, l*m + j]`` is what copy ``(j, l)``, dataset ``j`` at buyer ``l``'s
+    value, adds to buyer ``i``'s desire."""
+    values = np.array(inst.values, dtype=float).reshape(inst.n, inst.m)
+    prices = values[None, :, :]
+    W = np.where(interested(values[:, None, :], prices), prices, 0.0)
+    return W.reshape(inst.n, inst.n * inst.m)
+
+
+def selection_reference(choices, n: int) -> np.ndarray:
+    """``sel[s, l*m + j] = 1.0`` where sample ``s`` picked copy ``(j, l)``;
+    a choice of ``n`` picks no copy."""
+    samples, m = np.shape(choices)
+    sel = np.zeros((samples, n * m))
+    for s, row in enumerate(choices):
+        for j, copy in enumerate(row):
+            if copy < n:
+                sel[s, copy * m + j] = 1.0
+    return sel
+
+
+def sampled_marginals_reference(budgets, W, sel, load):
     """Continuous greedy's per-step estimate as two dense passes: each
-    sample's revenue with and without every copy (``samples x n*m``).  For
+    sample's revenue with and without every copy (``samples x n*m``), from
+    every buyer's desire ``load`` in each sample (``samples x n``).  For
     buyer ``i`` the desire without copy ``c`` is ``load - W[i, c] * sel[c]``
     and with it that plus ``W[i, c]``; revenues add in buyer order."""
-    load = sel @ W.T  # samples x n
-
     def without():
         return (load[:, i, None] - W[i] * sel for i in range(W.shape[0]))
 

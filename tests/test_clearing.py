@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from datamarket.clearing import (
     shards_to_items,
 )
 from datamarket.fixtures import gen_ce_se, gen_nonsub, gen_random, gen_sepgap
-from datamarket.model import Instance, ShardCurve, partition_prices
+from datamarket.model import Instance, ShardCurve, ValidationError, partition_prices
 from datamarket.plc_opt import solve_plc
 from oracle_util import clearabilize_reference, pricing_battery, spend_reference
 
@@ -425,3 +426,28 @@ def test_clearabilize_raises_after_exactly_its_bound(monkeypatch):
     assert str(exc.value) == "clearabilize failed to terminate within its bound"
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
     assert len(calls) == bound + 1  # one state per iteration, then the one that raises
+
+
+@pytest.mark.parametrize("values, budgets, message", [
+    (((math.nan,),), (1.0,), "invalid value at (0, 0): nan"),
+    (((0.4, 0.2), (0.3, math.inf)), (1.0, 1.0), "invalid value at (1, 1): inf"),
+    (((0.4, 0.2), (-0.3, 0.1)), (1.0, 1.0), "invalid value at (1, 0): -0.3"),
+    (((0.4, 0.2), (0.3, 0.1)), (1.0, math.nan), "invalid budget for buyer 1: nan"),
+    (((0.4, 0.2), (0.3, 0.1)), (-1.0, 1.0), "invalid budget for buyer 0: -1.0"),
+    (((0.4, 0.2), (0.3, 0.1)), (1.0, -math.inf), "invalid budget for buyer 1: -inf"),
+], ids=["nan-value", "inf-value", "negative-value", "nan-budget", "negative-budget",
+        "minus-inf-budget"])
+def test_an_item_market_rejects_a_bad_value_or_budget(values, budgets, message):
+    mkt = ItemMarket((0.5,) * len(values[0]), values, budgets)
+    for call in (clearabilize, is_clearable, per_buyer_revenue, clearing_allocation,
+                 lambda mkt: mkt.arrays):
+        with pytest.raises(ValidationError) as exc:
+            call(mkt)
+        assert str(exc.value) == message
+
+
+def test_an_item_market_takes_an_infinite_budget():
+    # buyer 0 wants both items and never runs out, so nothing is lowered
+    mkt = ItemMarket((0.5, 0.3), ((0.6, 0.3), (0.4, 0.3)), (math.inf, 0.2))
+    assert clearabilize(mkt).prices == (0.5, 0.3)
+    assert per_buyer_revenue(mkt) == (0.5 + 0.3, 0.2)

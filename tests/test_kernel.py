@@ -2,18 +2,31 @@
 buyers left to right.  These tests compare it with ``==`` against plain
 Python loops written in that order, check continuous greedy's per-step
 estimate against its two-pass reference, check the many-buyer spend and
-every buyer's demand against their one-buyer references bit for bit, and
-pin the output of ``continuous_greedy`` on two seeded instances."""
+every buyer's demand against their one-buyer references bit for bit, pin
+the output of ``continuous_greedy`` on two seeded instances, and check that
+it is the same under every BLAS kernel."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import datamarket
 from datamarket.clearing import market_from_prices, per_buyer_revenue, shards_to_items
 from datamarket.demand import optimal_demand, take
 from datamarket.fixtures import gen_random
-from datamarket.linear_opt import _copy_weights, _sampled_gains, continuous_greedy
+from datamarket.linear_opt import (
+    _copy_columns,
+    _gain_bound,
+    _sample_loads,
+    _sampled_gains,
+    _value_index,
+    continuous_greedy,
+)
 from datamarket.model import partition_prices, prices_to_shardset
 from datamarket.plc_opt import solve_plc
 from datamarket.revenue import (
@@ -24,12 +37,14 @@ from datamarket.revenue import (
     shard_revenue,
 )
 from oracle_util import (
+    copy_weights_reference,
     instance_battery,
     left_to_right_desire,
     left_to_right_revenue,
     optimal_demand_reference,
     random_shardset,
     sampled_marginals_reference,
+    selection_reference,
     take_reference,
 )
 
@@ -209,18 +224,28 @@ def test_clearing_per_buyer_revenue_adds_items_left_to_right():
 
 
 def _random_selection(rng, n, m, samples):
-    """Which copy each sample picks, under fractional marginals that leave
-    some mass on no copy and one dataset never picked."""
+    """Which copy each sample picks per dataset (``n``: none), under
+    fractional marginals that leave some mass on no copy and one dataset
+    never picked."""
     y = rng.random((n, m))
     y *= rng.uniform(0.2, 1.0, m) / y.sum(axis=0)
     y[:, rng.integers(m)] = 0.0
-    sel = np.zeros((samples, n * m))
+    choices = np.full((samples, m), n)
     for s, uniforms in enumerate(rng.random((samples, m))):
         for j, u in enumerate(uniforms):
-            copy = int(np.searchsorted(np.cumsum(y[:, j]), u, side="right"))
-            if copy < n:
-                sel[s, copy * m + j] = 1.0
-    return sel
+            choices[s, j] = min(n, int(np.searchsorted(np.cumsum(y[:, j]), u, side="right")))
+    return choices
+
+
+def _check_loads(inst, choices):
+    """The loads, each checked against the sample's desire added left to right."""
+    load = _sample_loads(inst, choices)
+    assert load.shape == (len(choices), inst.n)
+    for row, sample in zip(load, choices):
+        prices = [inst.values[copy][j] if copy < inst.n else 0.0 for j, copy in enumerate(sample)]
+        assert row.tolist() == [left_to_right_desire(zip(values, prices, [1.0] * inst.m))
+                                for values in inst.values]
+    return load
 
 
 def test_sampled_marginals_equal_the_two_pass_reference():
@@ -229,15 +254,23 @@ def test_sampled_marginals_equal_the_two_pass_reference():
     for n, m in [(5, 3), (9, 4), (15, 8), (30, 12), (60, 30)]:
         for budget_scale in (0.25, 1.0, 4.0, 16.0):
             inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
-            W = _copy_weights(inst)
-            sel = _random_selection(rng, n, m, samples=16)
-            want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
-            got = _sampled_gains(inst.budgets, W, sel, sel @ W.T, np.arange(n * m))
+            W = copy_weights_reference(inst)
+            choices = _random_selection(rng, n, m, samples=16)
+            sel = selection_reference(choices, n)
+            load = _check_loads(inst, choices)
+            copies = np.arange(n * m)
+            _assert_same_bits(_copy_columns(inst, copies), W)
+            want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel, load)
+            got = _sampled_gains(inst, choices, load, copies)
             assert np.array_equal(got, want_with - want_without)
+            # a copy's columns and gains do not depend on which others are asked for
+            some = rng.permutation(n * m)[:rng.integers(1, n * m + 1)]
+            _assert_same_bits(_copy_columns(inst, some), W[:, some])
+            _assert_same_bits(_sampled_gains(inst, choices, load, some), got[:, some])
             # the sample's own revenue is not what the picked copies give back
-            own = np.array([left_to_right_revenue(inst.budgets, load) for load in sel @ W.T])
-            samples, copies = np.nonzero(sel)
-            picked_differ += np.count_nonzero(want_with[samples, copies] != own[samples])
+            own = np.array([left_to_right_revenue(inst.budgets, row) for row in load])
+            samples, picked = np.nonzero(sel)
+            picked_differ += np.count_nonzero(want_with[samples, picked] != own[samples])
     assert picked_differ > 0
 
 
@@ -245,14 +278,16 @@ def test_sampled_marginals_on_empty_repeated_and_single_samples():
     rng = np.random.default_rng(43)
     for n, m, budget_scale in [(9, 4, 0.25), (15, 8, 1.0), (30, 12, 4.0)]:
         inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
-        W = _copy_weights(inst)
+        W = copy_weights_reference(inst)
         rows = _random_selection(rng, n, m, samples=4)
-        rows[3] = 0.0  # a sample that picked nothing
-        for sel in (np.zeros((16, n * m)),  # the first step: every sample picks nothing
-                    rows[rng.integers(0, 4, 24)],  # each row repeated, shuffled
-                    rows[1:2]):  # one sample
-            want_with, want_without = sampled_marginals_reference(inst.budgets, W, sel)
-            _assert_same_bits(_sampled_gains(inst.budgets, W, sel, sel @ W.T, np.arange(n * m)),
+        rows[3] = n  # a sample that picked nothing
+        for choices in (np.full((16, m), n),  # the first step: every sample picks nothing
+                        rows[rng.integers(0, 4, 24)],  # each row repeated, shuffled
+                        rows[1:2]):  # one sample
+            load = _check_loads(inst, choices)
+            want_with, want_without = sampled_marginals_reference(
+                inst.budgets, W, selection_reference(choices, n), load)
+            _assert_same_bits(_sampled_gains(inst, choices, load, np.arange(n * m)),
                               want_with - want_without)
 
 
@@ -265,13 +300,20 @@ def test_an_unpicked_copy_gains_at_most_its_bound():
     for n, m in [(1, 1), (5, 3), (9, 4), (15, 8), (30, 12)]:
         for budget_scale in (0.25, 1.0, 4.0, 16.0):
             inst = gen_random(n, m, int(rng.integers(10**6)), budget_scale=budget_scale)
-            W = _copy_weights(inst)
-            sel = _random_selection(rng, n, m, samples=16)
-            gains = _sampled_gains(inst.budgets, W, sel, sel @ W.T, np.arange(n * m))
-            bound = (sel @ W.T < inst.budgets) @ W
+            W = copy_weights_reference(inst)
+            choices = _random_selection(rng, n, m, samples=16)
+            load = _sample_loads(inst, choices)
+            gains = _sampled_gains(inst, choices, load, np.arange(n * m))
+            order, from_rank, reach = _value_index(inst)
+            # the bound of each sample alone, from the value index
+            bound = np.array([_gain_bound(inst, order, from_rank, row[None]).ravel()
+                              for row in load])
             ceiling = revenue(inst.budgets, W.sum(axis=1))
-            unpicked = sel == 0.0
-            assert np.all(gains[unpicked] <= bound[unpicked] + n * np.finfo(float).eps * ceiling)
+            allowance = n * np.finfo(float).eps * ceiling
+            assert np.all(np.abs(bound - (load < inst.budgets) @ W) <= allowance)
+            assert np.allclose(reach, W.sum(axis=1), rtol=n * m * np.finfo(float).eps, atol=0.0)
+            unpicked = selection_reference(choices, n) == 0.0
+            assert np.all(gains[unpicked] <= bound[unpicked] + allowance)
             tight += np.count_nonzero(gains[unpicked] == bound[unpicked])
     assert tight > 0  # the bound is met where no budget binds
 
@@ -356,3 +398,43 @@ def test_continuous_greedy_pinned_output(args, kwargs, prices, partition, revenu
     assert sol.prices == prices
     assert sol.partition == partition
     assert sol.revenue == revenue
+
+
+def _openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS build that picks its kernel at run
+    time, the only kind that ``OPENBLAS_CORETYPE`` steers."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 can only print its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+_CGREEDY_DIGEST = """
+import hashlib
+from datamarket.fixtures import gen_random
+from datamarket.linear_opt import continuous_greedy
+runs = [repr(continuous_greedy(gen_random(n, m, seed, budget_scale=b), steps=2, samples=32,
+                               roundings=8, seed=seed))
+        for n, m in ((20, 10), (60, 30), (100, 50)) for b in (1.0, 4.0) for seed in (1, 7, 41)]
+print(hashlib.sha256("\\n".join(runs).encode()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build, so "
+                           "OPENBLAS_CORETYPE selects no kernel")
+def test_continuous_greedy_is_the_same_on_every_blas_kernel():
+    # a BLAS product on the step's path gave three digests under these settings
+    src = str(Path(datamarket.__file__).resolve().parents[1])
+    digests = set()
+    for core, threads in [("Haswell", None), ("Nehalem", "1"), ("Prescott", None)]:
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", _CGREEDY_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1

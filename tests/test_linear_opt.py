@@ -23,11 +23,13 @@ from datamarket.linear_opt import (
 from datamarket.model import Instance
 from datamarket.revenue import linear_revenue
 from oracle_util import (
+    copy_weights_reference,
     exact_grid_reference,
     exhaustive_linear_revenue,
     greedy_prices_reference,
     instance_battery,
     sampled_marginals_reference,
+    selection_reference,
 )
 
 EPS = 0.001
@@ -179,10 +181,12 @@ def test_continuous_greedy_matches_the_two_pass_estimate(monkeypatch):
              for n, m, seed, b in [(6, 4, 3, 1.0), (12, 5, 7, 0.25), (20, 8, 2, 16.0)]]
     got = [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
            for inst, seed in cases]
-    # the reference prices every copy; continuous greedy asks for some columns
-    # and ignores the caller's load, computing its own from the selection
-    monkeypatch.setattr(linear_opt, "_sampled_gains", lambda budgets, W, sel, load, copies:
-                        np.subtract(*sampled_marginals_reference(budgets, W, sel))[:, copies])
+    # the reference prices every copy of the dense matrix from the same
+    # loads; continuous greedy asks for some columns
+    monkeypatch.setattr(linear_opt, "_sampled_gains", lambda inst, choices, load, copies:
+                        np.subtract(*sampled_marginals_reference(
+                            inst.budgets, copy_weights_reference(inst),
+                            selection_reference(choices, inst.n), load))[:, copies])
     assert got == [continuous_greedy(inst, steps=6, samples=8, roundings=4, seed=seed)
                    for inst, seed in cases]
 
@@ -273,9 +277,21 @@ def test_exact_grid_is_the_full_grid_sum(monkeypatch, inst):
     monkeypatch.setattr(linear_opt, "revenue", spy)
     sol = exact_bruteforce(inst)
     grid, prices, owners = exact_grid_reference(inst)
-    (got,) = grids
-    assert got.shape == np.shape(grid) and got.tobytes() == np.asarray(grid).tobytes()
+    # the tiles run through the grid's flat indices in order
+    assert max(np.size(tile) for tile in grids) <= linear_opt.TILE_POINTS
+    got = np.concatenate([np.ravel(tile) for tile in grids]).reshape(np.shape(grid))
+    assert got.tobytes() == np.asarray(grid).tobytes()
     assert list(sol.prices) == prices and list(sol.partition) == owners
+
+
+@pytest.mark.parametrize("shape", [[], [5], [8] * 6, [7] * 6, [6] * 6, [3, 40000], [70000],
+                                   [2, 3, 70000]])
+def test_grid_tiles_cover_the_grid_in_order(shape):
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    tiles = linear_opt._grid_tiles(shape)
+    assert all(flat[tile].size <= linear_opt.TILE_POINTS for tile in tiles)
+    assert np.array_equal(np.concatenate([flat[tile].ravel() for tile in tiles]), flat.ravel())
+    assert (len(tiles) == 1) == (flat.size <= linear_opt.TILE_POINTS)
 
 
 def test_exact_dominates_other_methods():
@@ -368,3 +384,27 @@ def test_greedy_memory_is_one_dataset_per_arrival(solve):
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _traced_peak(solve):
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_continuous_greedy_memory_is_the_copies_priced():
+    # the dense n x n*m copy matrix and samples x n*m selection peaked at
+    # 43.4 MB here; the value index peaks at about 9.2 MB
+    inst = gen_random(200, 100, 1, budget_scale=25.0)
+    assert _traced_peak(lambda: continuous_greedy(inst, steps=2, samples=32, roundings=8,
+                                                  seed=1)) < 12e6
+
+
+def test_exact_memory_is_the_grid_and_one_tile():
+    # summing the 8^6 grid in one call peaked at 6.0 MB; in tiles, at about 2.9 MB
+    inst = gen_random(8, 6, 0, budget_scale=1.5)
+    assert math.prod(len(c) for c in inst.distinct) == 8**6
+    assert _traced_peak(lambda: exact_bruteforce(inst)) < 4e6

@@ -4,8 +4,15 @@ import random
 import pytest
 
 from datamarket.clearing import shards_to_items
+from datamarket.demand import optimal_demand
 from datamarket.fixtures import gen_greedy_suboptimal, gen_lingap, gen_nonsub, gen_random
-from datamarket.model import Instance, ShardCurve, partition_prices, prices_to_shardset
+from datamarket.model import (
+    Instance,
+    ShardCurve,
+    ValidationError,
+    partition_prices,
+    prices_to_shardset,
+)
 from datamarket.properties import extension_gaps, partition_marginal_gaps
 from datamarket.revenue import (
     buyer_desire,
@@ -184,3 +191,31 @@ def test_a_changed_list_shardset_is_read_again():
     assert again.tolist() == [[1.0], [3.0]]
     frozen = tuple(shards)
     assert shard_items([1.0, 2.0], frozen)[1].tolist() == [[1.0], [3.0]]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (((1.0, -1.0),), "curve 1: invalid shard slope -1.0"),
+    (((1.0, math.nan),), "curve 1: invalid shard slope nan"),
+    (((1.0, math.inf),), "curve 1: invalid shard slope inf"),
+    (((0.5, 0.1), (0.5, -math.inf)),
+     "curve 1: invalid shard slope -inf; shard slopes are not strictly increasing"),
+    (((1.0, 0.1), (0.0, 0.2)), "curve 1: non-positive shard size 0.0"),
+    (((-0.5, 0.1), (1.5, 0.2)), "curve 1: non-positive shard size -0.5"),
+    ((), "curve 1: curve has no shards"),
+], ids=["negative", "nan", "inf", "minus-inf", "zero-size", "negative-size", "empty"])
+def test_every_shard_reader_rejects_a_directly_built_bad_curve(bad, message):
+    # from_pairs would refuse these curves; built directly, they reach the readers
+    inst = Instance.make([1.0, 1.0], [[0.5, 0.2], [0.3, 0.4]])
+    shards = (ShardCurve(((1.0, 0.2),)), ShardCurve(bad))
+    for read in (lambda: shard_items(inst.array, shards), lambda: shard_revenue(inst, shards),
+                 lambda: optimal_demand(inst, 0, shards), lambda: shards_to_items(inst, shards)):
+        with pytest.raises(ValidationError) as exc:
+            read()
+        assert str(exc.value) == message
+
+
+def test_a_market_of_empty_curves_is_rejected():
+    inst = Instance.make([1.0, 1.0], [[0.5, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValidationError) as exc:
+        shard_revenue(inst, (ShardCurve(()), ShardCurve(())))
+    assert str(exc.value) == "curve 0: curve has no shards"
