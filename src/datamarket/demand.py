@@ -68,11 +68,14 @@ def rate_threshold(curve: ShardCurve, beta: float) -> float:
     """Largest prefix fraction whose every shard slope is at most ``beta``.
 
     Returns 0 when even the first slope exceeds ``beta`` and 1 when every
-    slope qualifies (ties count, within tolerance).
+    slope qualifies.  A slope qualifies when a buyer of per-unit value
+    ``beta`` wants its shard: ``interested`` on the shard as an item (value
+    and price times its size), the call ``shard_desires`` makes, so ties
+    count within tolerance per unit of the shard's size.
     """
     prefix = 0.0
     for size, slope in curve.shards:
-        if slope > beta + TOLERANCE:
+        if not interested(beta * size, slope * size, size):
             return prefix
         prefix += size
     return 1.0

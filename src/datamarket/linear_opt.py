@@ -8,7 +8,8 @@ marginal gain, and ``continuous_greedy`` maximizes the multilinear extension
 of the copied-ground-set revenue over the partition matroid, then rounds; each
 of its steps computes exact gains only for the copies that a cheap upper bound
 leaves able to win, and reads who wants which copy from each dataset's buyers
-sorted by value.  Nothing here holds an array of ``n^2 m`` entries, and
+sorted by value, the instance's own ``ranking``, which the PLC solver reads
+too.  Nothing here holds an array of ``n^2 m`` entries, and
 ``exact_bruteforce`` holds the full grid only for its revenue.
 """
 
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TOLERANCE, Instance, Partition, partition_prices
-from .revenue import extension_value, interested, left_to_right, linear_revenue, revenue
+from .revenue import (extension_value, first_interested, interested, left_to_right,
+                      linear_revenue, revenue)
 
 DEFAULT_GRID_CAP = 2_000_000
 
@@ -216,13 +218,13 @@ def _value_index(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     both).  The copies a buyer wants are in turn a prefix of the sorted
     values, so ``reach[i]``, what every copy together adds to buyer ``i``'s
     desire, adds the prefix sums of the sorted values in dataset order.
+    The order is the instance's own (``Instance.ranking``).
     """
-    order = np.argsort(inst.array, axis=0, kind="stable")
-    ranked = np.take_along_axis(inst.array, order, axis=0)
+    order, ranked = inst.ranking
     from_rank, wanted = np.empty((2, inst.n, inst.m), dtype=int)
     for j, (column, values) in enumerate(zip(ranked.T, inst.array.T)):
         # the same comparisons as ``interested``, as searches on a sorted column
-        from_rank[:, j] = np.searchsorted(column, values - TOLERANCE, side="left")
+        from_rank[:, j] = first_interested(column, values)
         wanted[:, j] = np.searchsorted(column - TOLERANCE, values, side="right")
     prefix = np.cumsum(np.vstack([np.zeros(inst.m), ranked]), axis=0)  # row k: the k smallest
     return order, from_rank, left_to_right(np.take_along_axis(prefix, wanted, axis=0))

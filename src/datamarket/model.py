@@ -58,9 +58,11 @@ class Instance:
     An instance holds tuples: the budgets and every value row are turned
     into tuples when it is built, so it cannot change afterwards, whatever
     sequences it was given.  Its arrays are therefore built once, on first
-    use, and read-only: ``array``, the ``n x m`` values, and ``distinct``,
-    each dataset's distinct values.  They are not fields, so equality and
-    hashing read the tuples alone.
+    use, and read-only: ``array``, the ``n x m`` values; ``ranking``, each
+    dataset's buyers in value order; and ``distinct``, each dataset's
+    distinct values.  They are not fields, so equality and hashing read the
+    tuples alone, and a copy or a pickle carries the fields alone, so its
+    arrays are built afresh, read-only.
     """
 
     budgets: tuple[float, ...]
@@ -84,11 +86,24 @@ class Instance:
         return _read_only(np.array(self.values, dtype=float).reshape(self.n, self.m))
 
     @cached_property
+    def ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """The value index, two read-only ``n x m`` arrays: ``order[:, j]``,
+        dataset ``j``'s buyers by ascending value (a stable sort, so ties
+        keep buyer order), and ``ranked[:, j]``, their values in that order.
+        The buyers who want a price are a suffix of that order (see
+        ``revenue.first_interested``)."""
+        order = np.argsort(self.array, axis=0, kind="stable")
+        return _read_only(order), _read_only(np.take_along_axis(self.array, order, axis=0))
+
+    @cached_property
     def distinct(self) -> tuple[np.ndarray, ...]:
         """Each dataset's distinct values, ascending, as read-only arrays:
-        the values of each sorted column that exceed the one before them."""
+        the values of each ranked column that exceed the one before them."""
         return tuple(_read_only(column[np.diff(column, prepend=-np.inf) > 0])
-                     for column in np.sort(self.array, axis=0).T)
+                     for column in self.ranking[1].T)
+
+    def __getstate__(self) -> dict:
+        return {"budgets": self.budgets, "values": self.values}
 
     @classmethod
     def make(cls, budgets, values) -> "Instance":

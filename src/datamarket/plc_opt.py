@@ -14,17 +14,20 @@ one scale, the largest value or budget (each budget counted up to its
 buyer's total value), and solves it by column generation: a restricted
 master starts with every revenue column and one shard-size (z) column per
 dataset, at its median distinct value.  The master's row duals price every
-other z column at once: with ``y_i`` the dual of paying buyer ``i``'s desire
-row and ``mu_j`` that of dataset ``j``'s sum row, the column of slope ``t``
-has reduced cost ``t * (sum of y_i over the payers who want t + the number
-of infinite-budget buyers who want t) - mu_j``, one product of the duals
-with a buyers-by-columns mask of who wants what.  That mask is decided once,
-in the instance's own money, so the LP and ``shard_revenue`` agree on every
-buyer.  Each round adds the two best columns of every dataset whose reduced
-cost exceeds ``lp.PIVOT_TOL``; when none does, the master's optimum is the
-full program's.  Round 1's master, the medians alone, is solved in closed
-form and builds no tableau: its optimum is ``r_i = min(b_i, D_i)`` with
-``D_i`` the desire at the medians, each payer on her desire row when
+other z column at once: with ``y_i`` the dual of paying buyer ``i``'s
+desire row and ``mu_j`` that of dataset ``j``'s sum row, the column of
+slope ``t`` has reduced cost ``t * (sum of y_i over the payers who want t
++ the number of infinite-budget buyers who want t) - mu_j``.  The buyers
+who want ``t`` are a suffix of dataset ``j``'s buyers in value order (the
+instance's ``ranking``), so that sum is a suffix sum of the duals in that
+order, added from the highest value down, with no BLAS product and no
+buyers-by-columns array.  Who wants what is decided in the instance's own
+money, so the LP and ``shard_revenue`` agree on every buyer.  Each round
+adds the two best columns of every dataset whose reduced cost exceeds
+``lp.PIVOT_TOL``; when none does, the master's optimum is the full
+program's.  Round 1's master, the medians alone, is solved in closed form
+and builds no tableau: its optimum is ``r_i = min(b_i, D_i)`` with ``D_i``
+the desire at the medians, each payer on her desire row when
 ``D_i < b_i - lp.PIVOT_TOL`` and on her budget row otherwise, the row the
 simplex's ratio test would pick.  That row's dual is 1 and the other's 0,
 so round 1's pricing is an integer count of who wants each column times its
@@ -51,7 +54,7 @@ import numpy as np
 from . import lp
 from .demand import optimal_demand
 from .model import TOLERANCE, Allocation, Instance, ShardCurve, ShardSet, shardset_to_dict
-from .revenue import desires, interested, shard_revenue
+from .revenue import desires, first_interested, interested, shard_revenue
 
 # Columns each round adds per dataset, at most.
 _ENTERING = 2
@@ -72,13 +75,16 @@ class PlcSolution:
 class _Market:
     """The pricing LP's data, money divided by ``scale``.  Its z columns,
     indexed ``0 .. slopes.size - 1``, are each dataset's distinct values
-    (ascending), dataset by dataset.  Who wants a column is decided once, in
-    the instance's own money, as ``shard_revenue`` decides it, and both the
-    LP and the pricing read that one mask.  A budget whose quotient by the
-    scale overflows is infinite here, and its buyer pays her desire
-    outright, as an infinite budget's buyer does."""
+    (ascending), dataset by dataset.  Who wants a column is decided in the
+    instance's own money, as ``shard_revenue`` decides it: the buyers who
+    want it are a suffix of its dataset's buyers in value order, from the
+    column's first-wanting rank (``revenue.first_interested``).  A budget
+    whose quotient by the scale overflows is infinite here, and its buyer
+    pays her desire outright, as an infinite budget's buyer does."""
 
-    wants: np.ndarray       # n x columns: buyer i wants column c
+    values: np.ndarray      # n x m, the instance's values in money
+    order: np.ndarray       # n x m, each dataset's buyers by ascending value
+    first: np.ndarray       # each column's first-wanting rank in that order
     budgets: np.ndarray     # divided by scale
     payers: np.ndarray      # finite, positive budgets
     distinct: np.ndarray    # each column's slope in money, as in the instance
@@ -96,9 +102,10 @@ class _Market:
         distinct = np.concatenate(inst.distinct)
         dataset = np.repeat(np.arange(inst.m), [column.size for column in inst.distinct])
         starts = np.searchsorted(dataset, np.arange(inst.m + 1))
+        first = np.concatenate(list(map(first_interested, inst.ranking[1].T, inst.distinct)))
         # infinite budgets never bind; zero budgets never pay
         payers = np.flatnonzero(np.isfinite(budgets) & (raw > 0))
-        return cls(interested(inst.array[:, dataset], distinct), budgets, payers,
+        return cls(inst.array, inst.ranking[0], first, budgets, payers,
                    distinct, distinct / scale, dataset, starts)
 
     @cached_property
@@ -146,7 +153,7 @@ def _z_columns(market: _Market, columns: np.ndarray) -> tuple[np.ndarray, np.nda
     columns a master gains are written."""
     k = market.payers.size
     slopes = market.slopes[columns]
-    affordable = market.wants[:, columns]
+    affordable = interested(market.values[:, market.dataset[columns]], market.distinct[columns])
     matrix = np.zeros((2 * k + market.starts.size - 1, columns.size))
     # buyer i pays slope t per unit of every shard whose slope she can afford
     matrix[k:2 * k] = np.where(affordable[market.payers], -slopes, 0.0)
@@ -159,11 +166,14 @@ def _z_columns(market: _Market, columns: np.ndarray) -> tuple[np.ndarray, np.nda
 def _reduced_costs(market: _Market, duals: np.ndarray) -> np.ndarray:
     """Every z column's reduced cost at a master's duals: its slope times the
     weight of the buyers who want it (a payer's desire-row dual, one for an
-    infinite budget), less its dataset's sum-row dual."""
+    infinite budget), less its dataset's sum-row dual.  Those buyers are a
+    suffix of the value order, so each weight is a suffix sum of the
+    weights in that order, added from the highest value down."""
     k = market.payers.size
     weights = np.isinf(market.budgets).astype(float)
     weights[market.payers] = duals[k:2 * k]
-    return market.slopes * (weights @ market.wants) - duals[2 * k:][market.dataset]
+    suffix = np.cumsum(weights[market.order][::-1], axis=0)[::-1]
+    return market.slopes * suffix[market.first, market.dataset] - duals[2 * k:][market.dataset]
 
 
 def _entering(market: _Market, reduced: np.ndarray, in_master: np.ndarray) -> np.ndarray:
@@ -188,7 +198,8 @@ def _round_one(market: _Market) -> tuple[lp.LpSolution, np.ndarray]:
     dual zeroes its median's reduced cost.  ``x`` and the duals are laid out
     as the master's."""
     payers, medians = market.payers, market.medians
-    slopes, wanted = market.slopes[medians], market.wants[:, medians]
+    # one median per dataset, in dataset order
+    slopes, wanted = market.slopes[medians], interested(market.values, market.distinct[medians])
     budget = market.budgets[payers]
     desire = desires(wanted[payers], slopes)
     on_desire = desire < budget - lp.PIVOT_TOL

@@ -40,6 +40,14 @@ def interested(values, prices, sizes=1.0) -> np.ndarray:
     return values >= prices - TOLERANCE * sizes
 
 
+def first_interested(ranked: np.ndarray, prices) -> np.ndarray:
+    """``interested`` as a search: for whole datasets priced at ``prices``
+    and one dataset's values ``ranked`` ascending, the rank of the first
+    value that wants each price.  Every value from that rank on wants it and
+    none before it does, the same comparisons ``interested`` makes."""
+    return np.searchsorted(ranked, np.asarray(prices) - TOLERANCE, side="left")
+
+
 def left_to_right(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis in index order.
 

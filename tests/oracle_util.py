@@ -210,6 +210,13 @@ def copy_weights_reference(inst: Instance) -> np.ndarray:
     return W.reshape(inst.n, inst.n * inst.m)
 
 
+def column_wants_reference(values: np.ndarray, dataset, slopes) -> np.ndarray:
+    """Who wants each pricing-LP column, the dense ``n x columns`` mask the
+    PLC solver once held: buyer ``i`` wants the column of slope ``slopes[c]``
+    of dataset ``dataset[c]`` when ``interested`` says so of her value."""
+    return interested(values[:, dataset], slopes)
+
+
 def selection_reference(choices, n: int) -> np.ndarray:
     """``sel[s, l*m + j] = 1.0`` where sample ``s`` picked copy ``(j, l)``;
     a choice of ``n`` picks no copy."""

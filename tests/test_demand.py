@@ -47,6 +47,53 @@ def test_rate_threshold_tie_counts_as_qualifying():
     assert rate_threshold(THREE_SHARDS, 20.0 - 1e-10) == pytest.approx(0.8)
 
 
+def _threshold_and_cost(curve, beta):
+    """The interest rule stated shard by shard: a buyer of per-unit value
+    ``beta`` wants a shard of size ``z`` and slope ``t`` when ``beta * z >=
+    t * z - 1e-9 * z``.  Returns the size before her first unwanted shard
+    (1.0 when she wants them all) and the price of the shards she wants,
+    added in shard order."""
+    threshold, prefix, cost = 1.0, 0.0, 0.0
+    for size, slope in curve.shards:
+        if beta * size >= slope * size - 1e-9 * size:
+            prefix, cost = prefix + size, cost + slope * size
+        elif threshold == 1.0:
+            threshold = prefix
+    return threshold, cost
+
+
+def test_rate_threshold_decides_a_shard_as_the_buyer_does():
+    # beta + 1e-9 rounds above the slope, but the shard-sized comparison
+    # that buyer_cost makes does not
+    curve = ShardCurve.from_pairs([(0.5, 0.0), (0.5, 1.199773939889227e-07)])
+    beta = 1.189773939889227e-07
+    assert curve.buyer_cost(beta) == 0.0
+    assert rate_threshold(curve, beta) == 0.5
+
+
+def test_rate_threshold_and_buyer_cost_keep_one_rule_near_every_slope():
+    """Values within a few ulps of each slope plus and minus the tolerance,
+    on curves whose slopes run from 1e-8 to 100."""
+    rng = random.Random(11)
+    cases = 0
+    for _ in range(150):
+        scale = 10.0 ** rng.uniform(-8, 2)
+        sizes = [rng.uniform(0.05, 1.0) for _ in range(rng.randint(1, 4))]
+        slopes = [rng.uniform(0.0, scale) for _ in sizes]
+        curve = ShardCurve.from_pairs([(z / sum(sizes), t) for z, t in zip(sizes, slopes)])
+        for _, slope in curve.shards:
+            for beta in (slope - 1e-9, slope + 1e-9):
+                for _ in range(rng.randint(0, 4)):
+                    beta = math.nextafter(beta, rng.choice((-math.inf, math.inf)))
+                if beta < 0:
+                    continue
+                threshold, cost = _threshold_and_cost(curve, beta)
+                assert rate_threshold(curve, beta) == threshold
+                assert curve.buyer_cost(beta) == cost
+                cases += 1
+    assert cases > 500
+
+
 def test_piecewise_curve_validation():
     with pytest.raises(ValidationError):
         PiecewiseCurve((0.0, 1.0), (0.5, 1.0))  # value at 0 must be 0

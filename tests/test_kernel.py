@@ -305,6 +305,7 @@ def test_an_unpicked_copy_gains_at_most_its_bound():
             load = _sample_loads(inst, choices)
             gains = _sampled_gains(inst, choices, load, np.arange(n * m))
             order, from_rank, reach = _value_index(inst)
+            assert order is inst.ranking[0]  # the instance's own order, not a second sort
             # the bound of each sample alone, from the value index
             bound = np.array([_gain_bound(inst, order, from_rank, row[None]).ravel()
                               for row in load])

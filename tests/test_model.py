@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -143,6 +145,18 @@ def test_array_is_the_values_as_one_read_only_float_array():
 
 
 @pytest.mark.parametrize("inst", INDEX_CASES)
+def test_ranking_orders_each_datasets_buyers_by_value_ties_by_index(inst):
+    order, ranked = inst.ranking
+    assert inst.ranking is inst.ranking  # built once
+    for j, column in enumerate(zip(*inst.values)):
+        assert order[:, j].tolist() == sorted(range(inst.n), key=lambda i: (column[i], i))
+        assert ranked[:, j].tobytes() == np.array([column[i] for i in order[:, j]]).tobytes()
+    for a in (order, ranked):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+
+
+@pytest.mark.parametrize("inst", INDEX_CASES)
 def test_distinct_holds_each_datasets_distinct_values_ascending(inst):
     assert len(inst.distinct) == inst.m
     for j, column in enumerate(zip(*inst.values)):
@@ -167,6 +181,23 @@ def test_the_arrays_leave_equality_and_hashing_as_they_were():
     changed = dataclasses.replace(inst, values=tuple((0.5,) * 3 for _ in range(4)))
     assert changed.array.tolist() == [[0.5] * 3] * 4
     assert [d.tolist() for d in changed.distinct] == [[0.5]] * 3
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda inst: pickle.loads(pickle.dumps(inst))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_instance_builds_its_own_read_only_arrays(copy_of):
+    inst = gen_random(4, 3, seed=5)
+    inst.array, inst.ranking, inst.distinct  # build them before copying
+    twin = copy_of(inst)
+    assert twin == inst and hash(twin) == hash(inst)
+    assert twin.array is not inst.array
+    for a in (twin.array, *twin.ranking, *twin.distinct):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        twin.array[0, 0] = 100.0
+    assert np.array_equal(twin.array, inst.array)
+    assert all(np.array_equal(a, b) for a, b in zip(twin.ranking, inst.ranking))
 
 
 def test_make_raises_on_bad_instance():

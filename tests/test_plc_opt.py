@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from datamarket.model import Instance, prices_to_shardset
 from datamarket.plc_opt import (build_pricing_lp, extract_allocation, plc_solution_to_dict,
                                 solve_plc)
 from datamarket.revenue import shard_revenue
-from oracle_util import highs_plc_revenue, instance_battery
+from oracle_util import column_wants_reference, highs_plc_revenue, instance_battery
 
 EPS = 0.001
 
@@ -172,7 +173,7 @@ def test_diagnostics_stay_out_of_the_output():
 
 
 def test_pricing_equals_full_lp_reduced_costs():
-    """The wants mask prices every column as ``c - yA`` does on the full LP,
+    """The suffix sums price every column as ``c - yA`` does on the full LP,
     at the duals of a master."""
     for budget_scale in (0.25, 4.0, 16.0):
         inst = gen_random(20, 10, seed=5, budget_scale=budget_scale)
@@ -226,7 +227,8 @@ def test_every_warm_round_matches_a_cold_master(inst):
 def _round_one_caps(market, columns):
     """Each payer's budget and desire at the master's columns, scaled."""
     payers = market.payers
-    return market.budgets[payers], market.wants[payers][:, columns] @ market.slopes[columns]
+    wants = column_wants_reference(market.values, market.dataset[columns], market.distinct[columns])
+    return market.budgets[payers], wants[payers] @ market.slopes[columns]
 
 
 def _crash_cases():
@@ -381,3 +383,86 @@ def test_a_budget_that_overflows_the_money_scale_solves_as_infinite(budgets, val
     want = solve_plc(Instance.make([math.inf] + budgets[1:], values))
     assert plc_solution_to_dict(got) == plc_solution_to_dict(want)
     assert got.diagnostics == want.diagnostics
+
+
+def _value_index_cases():
+    yield "ties-and-zeros", Instance.make(
+        [1.0, 2.0, 0.5, 1.5, 1.0], [[0.5, 0.0, 0.25], [0.5, 1.0, 0.0], [0.0, 1.0, 0.25],
+                                    [0.5, 0.0, 0.0], [0.25, 0.0, 0.25]])
+    yield "within-1e-9", Instance.make(
+        [1.0] * 6, [[0.4 + d, 1.0 - d, 2e-9 + d] for d in (0.0, 5e-10, 1e-9, 1.5e-9, -1e-9, 2e-9)])
+    yield "signed-zeros", Instance((1.0, 2.0, 1.0), ((-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0)))
+    yield "one-buyer", Instance.make([1.0], [[0.3, 0.0, 0.7]])
+    yield "one-dataset", Instance.make([1.0, 1.0, 2.0, math.inf], [[0.2], [0.2], [0.1], [0.3]])
+    inst = gen_random(12, 5, seed=9, budget_scale=4.0)
+    yield "infinite-and-zero-budgets", Instance.make(
+        [math.inf, 0.0, math.inf] + list(inst.budgets[3:]), inst.values)
+    for (n, m), budget_scale in [((10, 5), 0.25), ((20, 10), 1.0), ((40, 20), 4.0),
+                                 ((60, 30), 16.0), ((20, 200), 100.0), ((20, 500), 250.0)]:
+        yield f"{n}x{m}-b{budget_scale:g}", gen_random(n, m, 1, budget_scale=budget_scale)
+
+
+VALUE_INDEX_CASES = dict(_value_index_cases())
+
+
+@pytest.mark.parametrize("inst", VALUE_INDEX_CASES.values(), ids=VALUE_INDEX_CASES)
+def test_each_columns_buyers_are_a_suffix_of_the_value_order(inst):
+    """The buyers from a column's first-wanting rank on, in its dataset's
+    value order, are exactly the buyers the dense mask says want it."""
+    market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
+    rank = np.empty_like(market.order)  # each buyer's rank in each dataset's value order
+    np.put_along_axis(rank, market.order, np.arange(inst.n)[:, None], axis=0)
+    suffix = rank[:, market.dataset] >= market.first
+    want = column_wants_reference(inst.array, market.dataset, market.distinct)
+    assert np.array_equal(suffix, want)
+    assert want.any(axis=0).all()  # each column is some buyer's value
+
+
+def _reduced_costs_by_loop(market, duals):
+    """Each column's reduced cost, its wanting buyers' weights added one at
+    a time from the highest value down (ties from the highest buyer index
+    down, a stable ascending order read backwards), starting from ``-0.0``,
+    the empty sum that keeps a lone ``-0.0``."""
+    k = market.payers.size
+    weights = np.isinf(market.budgets).astype(float)
+    weights[market.payers] = duals[k:2 * k]
+    wants = column_wants_reference(market.values, market.dataset, market.distinct)
+    n, m = market.values.shape
+    downward = [sorted(range(n), key=lambda i: (market.values[i, j], i), reverse=True)
+                for j in range(m)]
+    costs = []
+    for c, j in enumerate(market.dataset.tolist()):
+        total = -0.0
+        for i in downward[j]:
+            if wants[i, c]:
+                total += float(weights[i])
+        costs.append(float(market.slopes[c]) * total - float(duals[2 * k + j]))
+    return np.array(costs)
+
+
+@pytest.mark.parametrize("inst", VALUE_INDEX_CASES.values(), ids=VALUE_INDEX_CASES)
+def test_reduced_costs_add_the_wanting_weights_from_the_highest_value_down(inst):
+    market = plc_opt._Market.of(inst, plc_opt._money_scale(inst))
+    k, m = market.payers.size, inst.m
+    rng = np.random.default_rng(3)
+    closed = np.array(plc_opt._round_one(market)[0].duals)
+    spread = rng.random(2 * k + m) * 10.0 ** rng.integers(-9, 3, 2 * k + m)
+    spread[::5] = -0.0
+    for duals in (closed, spread):
+        got = plc_opt._reduced_costs(market, duals)
+        assert got.tobytes() == _reduced_costs_by_loop(market, duals).tobytes()
+
+
+def test_solve_plc_memory_is_bounded():
+    # the n x n*m want mask and its n x n*m float copy of the values peaked
+    # at about 292 MB here; the value index peaks at about 7.9 MB
+    inst = gen_random(400, 200, 1)
+    tracemalloc.start()
+    try:
+        solve_plc(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+    market = plc_opt._Market.of(inst, 1.0)
+    assert max(np.size(field) for field in vars(market).values()) <= inst.n * inst.m

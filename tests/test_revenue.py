@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from datamarket.clearing import shards_to_items
@@ -17,6 +18,8 @@ from datamarket.properties import extension_gaps, partition_marginal_gaps
 from datamarket.revenue import (
     buyer_desire,
     extension_value,
+    first_interested,
+    interested,
     linear_revenue,
     partition_revenue,
     shard_items,
@@ -53,6 +56,19 @@ def test_desire_matches_direct_summation():
                 if inst.values[i][j] >= prices[j] - 1e-9:
                     expected += prices[j]
             assert buyer_desire(inst, i, prices) == pytest.approx(expected)
+
+
+def test_first_interested_is_where_interest_starts_in_a_sorted_column():
+    rng = np.random.default_rng(19)
+    base = rng.uniform(0.0, 2.0, 12)
+    # ties, zeros and values a few ulps either side of each other value +- 1e-9
+    near = np.concatenate([np.nextafter(base + d, rng.choice([-np.inf, np.inf], 12))
+                           for d in (-1e-9, 1e-9)])
+    ranked = np.sort(np.concatenate([base, base[:3], near, [0.0, 0.0]]))
+    prices = np.concatenate([ranked, near, [0.0, 3.0]])
+    first = first_interested(ranked, prices)
+    ranks = np.arange(ranked.size)[:, None]
+    assert np.array_equal(ranks >= first, interested(ranked[:, None], prices))
 
 
 def test_linear_revenue_example3_table():
