@@ -90,10 +90,12 @@ def exact_bruteforce(inst: Instance) -> LinearSolution:
     over the datasets added so far spans only their axes.  From the dataset
     of the last axis on, the sum spans the whole tile and goes into one
     buffer that every buyer reuses.  The grid is summed one tile
-    (``_grid_tiles``) at a time, each in one ``revenue`` call whose result
-    goes into the full-grid revenue.  Every grid point sees the same adds
-    in the same order as on a full grid, so the bits are the same, at about
-    one tile pass per buyer instead of one per active dataset.
+    (``_grid_tiles``) at a time, each in one ``revenue`` call.  A tile's
+    buffers lay its axes out reversed, so the dataset added last is
+    outermost and every add runs along the contiguous partial sum rather
+    than broadcasting along a short trailing axis; the tile's revenue is
+    transposed back into the full-grid revenue.  Every grid point sees the
+    same adds in the same order as on a full grid, so the bits are the same.
 
     Ties are broken toward the lexicographically smallest grid-index tuple.
     Raises ValueError when the grid is larger than ``DEFAULT_GRID_CAP``.
@@ -116,19 +118,20 @@ def exact_bruteforce(inst: Instance) -> LinearSolution:
     grid = np.empty(shape)
 
     def tile_desires(tile):
-        # each gain's own axis takes the tile's cut; its other axes have size 1
+        # each gain's own axis takes the tile's cut (its other axes have size 1),
+        # and .T reverses the axes, so buyer i's gain is gain[..., i]
         tiled = [gain[(slice(None), *(cut if size > 1 else slice(None)
-                                      for cut, size in zip(tile, gain.shape[1:])))]
+                                      for cut, size in zip(tile, gain.shape[1:])))].T
                  for gain in gains]
-        desire = np.empty(grid[tile].shape)
+        desire = np.empty(grid[tile].shape[::-1])
         for i in range(inst.n):
             partial = 0.0
             for k, gain in enumerate(tiled):
-                partial = np.add(partial, gain[i], out=desire if k >= full_from else None)
+                partial = np.add(partial, gain[..., i], out=desire if k >= full_from else None)
             yield partial
 
     for tile in _grid_tiles(shape):
-        grid[tile] = revenue(inst.budgets, tile_desires(tile))
+        grid[tile] = np.transpose(revenue(inst.budgets, tile_desires(tile)))
     best = np.unravel_index(int(np.argmax(grid)), shape)
     choice = dict(zip(axes, best))
     prices = [0.0] * inst.m

@@ -260,13 +260,29 @@ def _edge_instances():
     budgets = rng.random(5) * 2
     return [Instance.make(budgets, middle), Instance.make(budgets, last),
             Instance.make(budgets, np.zeros((5, 5))),  # no active dataset
-            Instance.make([1.5], values[:1]), Instance.make([0.5], values[:1])]  # one buyer
+            Instance.make([1.5], values[:1]), Instance.make([0.5], values[:1]),  # one buyer
+            # every active dataset has one candidate, so the grid has no axis
+            Instance.make([1.0, 2.0], [[0.5, 0.0, 0.3], [0.5, 0.7, 0.0]])]
+
+
+def _tied_tiles_instance():
+    """7 buyers and 6 datasets, a 7^6 grid cut into 7 tiles along axis 0.
+    Each dataset's values are a shuffle of one column whose candidates earn
+    70, 90, 100, 84, 90, 100 and 51, and no budget binds; every sum is of
+    whole numbers, so it is exact, and the maxima tie at candidates 2 and 5
+    of every dataset, in tiles 2 and 5."""
+    column = np.array([10.0, 15.0, 20.0, 21.0, 30.0, 50.0, 51.0])
+    rng = np.random.default_rng(23)
+    return Instance.make([1000.0] * 7, np.column_stack([rng.permutation(column)
+                                                        for _ in range(6)]))
 
 
 @pytest.mark.parametrize("inst", [gen_random(n, m, 7000 + k, budget_scale=m / 4)
                                   for k, (n, m) in enumerate([(4, 5), (5, 5), (6, 5), (4, 6),
                                                               (5, 6), (6, 6), (7, 6), (8, 6)])]
-                         + _edge_instances())
+                         + _edge_instances()
+                         # 9^6: _grid_tiles cuts axis 1 into runs of 4
+                         + [gen_random(9, 6, 7008, budget_scale=1.5), _tied_tiles_instance()])
 def test_exact_grid_is_the_full_grid_sum(monkeypatch, inst):
     kernel, grids = linear_opt.revenue, []
 
@@ -277,11 +293,20 @@ def test_exact_grid_is_the_full_grid_sum(monkeypatch, inst):
     monkeypatch.setattr(linear_opt, "revenue", spy)
     sol = exact_bruteforce(inst)
     grid, prices, owners = exact_grid_reference(inst)
-    # the tiles run through the grid's flat indices in order
+    # each tile comes back with its axes reversed; transposed, the tiles run
+    # through the grid's flat indices in order
     assert max(np.size(tile) for tile in grids) <= linear_opt.TILE_POINTS
-    got = np.concatenate([np.ravel(tile) for tile in grids]).reshape(np.shape(grid))
+    got = np.concatenate([np.ravel(np.transpose(tile)) for tile in grids]).reshape(np.shape(grid))
     assert got.tobytes() == np.asarray(grid).tobytes()
     assert list(sol.prices) == prices and list(sol.partition) == owners
+
+
+def test_tied_maxima_fall_in_more_than_one_tile():
+    grid, prices, _ = exact_grid_reference(_tied_tiles_instance())
+    tiles = linear_opt._grid_tiles(np.shape(grid))
+    assert len(tiles) == 7
+    assert [k for k, tile in enumerate(tiles) if grid[tile].max() == grid.max()] == [2, 5]
+    assert prices == [20.0] * 6
 
 
 @pytest.mark.parametrize("shape", [[], [5], [8] * 6, [7] * 6, [6] * 6, [3, 40000], [70000],
