@@ -310,6 +310,33 @@ def test_clearabilize_equals_a_full_rescan_on_posted_prices_with_many_items(n, m
     assert iterations > 6
 
 
+@pytest.mark.parametrize("unit", [1e-8, 1.0, 1e8, 1e12])
+def test_clearabilize_equals_a_full_rescan_on_both_branches(monkeypatch, unit):
+    # a lowering that moves no buyer across her budget updates only the item
+    # it lowered, and one that moves a buyer reads the whole market again with
+    # _state; both must give the plain rescan's bits at every money unit
+    real = clearing._state
+    states = []
+    monkeypatch.setattr(clearing, "_state", lambda *args: states.append(1) or real(*args))
+    rng = random.Random(226)
+    markets = iterations = 0
+    for seed in range(12):
+        n, m = rng.choice([(6, 3), (12, 6), (30, 15), (40, 20)])
+        base = gen_random(n, m, seed=seed + 8400, budget_scale=rng.choice([0.25, 1.0, 4.0]))
+        inst = Instance.make([b * unit for b in base.budgets],
+                             [[v * unit for v in row] for row in base.values])
+        posted = market_from_prices(inst, partition_prices(inst, [rng.randrange(n) for _ in range(m)]))
+        # two or three shards a dataset, each priced at some buyer's value
+        curves = tuple(ShardCurve.from_pairs(
+            [(z, inst.values[rng.randrange(n)][j]) for z in rng.choice([(0.5, 0.5), (0.25, 0.25, 0.5)])])
+            for j in range(m))
+        for market in (posted, shards_to_items(inst, curves)):
+            iterations += _assert_matches_full_rescan(market)
+            markets += 1
+    crossings = len(states) - markets  # each run reads the market once at its start
+    assert 0 < crossings < iterations  # both branches ran
+
+
 def test_clearabilize_lowers_to_the_budget_left_without_residue():
     # nonsub's optimal curves price dataset 0 at 0.001; buyer 1 wants both
     # datasets on a budget of 1, so dataset 0 drops to 1 - 1.0 = 0.0 exactly,
@@ -409,23 +436,23 @@ def test_market_from_prices_rejects_the_wrong_number_of_prices(prices):
 
 
 def test_clearabilize_raises_after_exactly_its_bound(monkeypatch):
-    # a _state that keeps reporting item 0 as violating never lets the loop
-    # end, so it runs its (M + 1) * (n + 1)**2 iterations and then raises
+    # a lowering that leaves the price where it is keeps item 0 violating and
+    # moves no buyer, so the loop never ends; it runs its (M + 1) * (n + 1)**2
+    # iterations, one lowering each, and then raises
     mkt = market_from_prices(gen_random(2, 2, 3), [0.5, 0.5])
-    real = clearing._state
+    assert not is_clearable(mkt)
     calls = []
 
-    def stuck(*args):
+    def stuck(price, *args):
         calls.append(1)
-        _, phi, over = real(*args)
-        return 0, phi, over
+        return price
 
-    monkeypatch.setattr(clearing, "_state", stuck)
+    monkeypatch.setattr(clearing, "_lowered", stuck)
     with pytest.raises(RuntimeError) as exc:
         clearabilize(mkt)
     assert str(exc.value) == "clearabilize failed to terminate within its bound"
     bound = (mkt.num_items + 1) * (mkt.num_buyers + 1) ** 2
-    assert len(calls) == bound + 1  # one state per iteration, then the one that raises
+    assert len(calls) == bound
 
 
 @pytest.mark.parametrize("values, budgets, message", [
