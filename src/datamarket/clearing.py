@@ -48,7 +48,7 @@ it, and so does ``clearabilize`` at its start and after each crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -56,56 +56,121 @@ import numpy as np
 from .demand import allocate
 from .model import (TOLERANCE, Allocation, Bundle, Instance, ShardSet, ValidationError,
                     check_prices)
-from .revenue import desires, interested, left_to_right, revenue, shard_items
+from .revenue import desires, interested, left_to_right, pricing, revenue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ItemMarket:
     """Linear-priced items with per-buyer item values and buyer budgets.
 
     ``sizes`` holds each item's fraction of its dataset (``None``: whole
-    datasets, size 1).  The arrays the kernel reads are built on first use.
+    datasets, size 1).  The kernel reads only the market's ``arrays``,
+    read-only and checked once, where they are built.  A market built from
+    its fields builds them on first use.  ``market_from_prices`` and
+    ``shards_to_items`` build a market from arrays: the instance's values,
+    or the items sliced from its pricing's shard grid, which
+    ``revenue.pricing`` keeps in the library's one memo.  Such a market
+    turns each field into tuples only when something reads it, so the
+    fields read and compare the same on both kinds.
     """
 
     prices: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]  # n buyers x M items
     budgets: tuple[float, ...]
-    item_origin: tuple[tuple[int, int], ...] | None = None  # item -> (dataset, shard)
-    sizes: tuple[float, ...] | None = None  # item -> fraction of its dataset
+    item_origin: tuple[tuple[int, int], ...] | None  # item -> (dataset, shard)
+    sizes: tuple[float, ...] | None  # item -> fraction of its dataset
+
+    def __init__(self, prices, values, budgets, item_origin=None, sizes=None):
+        # the defaults live here: as class attributes they would hide an
+        # array-backed market's unread fields from __getattr__
+        self.__dict__.update(prices=prices, values=values, budgets=budgets,
+                             item_origin=item_origin, sizes=sizes)
+
+    @classmethod
+    def _of_arrays(cls, prices, values, budgets, item_origin, sizes=None) -> "ItemMarket":
+        """A market over the arrays ``prices``, ``values`` (``n x M``, new or
+        read-only) and ``sizes`` (``None``: whole datasets), with
+        ``budgets`` the instance's tuple and ``item_origin`` an ``M x 2``
+        array or a tuple.  It checks the arrays and makes them read-only;
+        each field given as an array becomes a tuple on first read."""
+        mkt = object.__new__(cls)
+        arrays = _checked(prices, values, np.array(budgets, dtype=float),
+                          np.ones(prices.size) if sizes is None else sizes)
+        mkt.__dict__.update(arrays=arrays, _fields=dict(
+            prices=arrays[0], values=values, budgets=budgets, item_origin=item_origin, sizes=sizes))
+        return mkt
+
+    def __getattr__(self, name):
+        # only a market built from arrays lacks a field, until it is read
+        try:
+            field = self.__dict__["_fields"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+        if isinstance(field, np.ndarray):
+            field = tuple(map(tuple, field.tolist())) if field.ndim == 2 else tuple(field.tolist())
+        self.__dict__[name] = field
+        return field
+
+    def __getstate__(self) -> dict:
+        # a copy or a pickle carries the fields alone and builds and checks
+        # its own read-only arrays
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def num_items(self) -> int:
-        return len(self.prices)
+        return self.arrays[0].size
 
     @property
     def num_buyers(self) -> int:
-        return len(self.budgets)
+        return self.arrays[2].size
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(values, budgets, sizes)`` as numpy arrays.
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(prices, values, budgets, sizes)`` as read-only numpy arrays.
 
-        Raises ValidationError on a NaN, infinite or negative value and on a
-        NaN or negative budget; an infinite budget is legal, as in
+        Raises ValidationError unless there is one value row per budget and
+        one value and one size per price, on a NaN, infinite or negative
+        value or price, on a NaN or negative budget and on a size that is
+        not positive and finite; an infinite budget is legal, as in
         ``Instance``."""
-        values = np.array(self.values, dtype=float).reshape(self.num_buyers, self.num_items)
-        budgets = np.array(self.budgets, dtype=float)
-        # a NaN makes the minimum NaN, which fails the test
-        if not (values.min(initial=0.0) >= 0 and np.isfinite(values.max(initial=0.0))):
-            i, k = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
-            raise ValidationError(f"invalid value at ({i}, {k}): {values[i, k]}")
-        if not budgets.min(initial=0.0) >= 0:
-            i = np.flatnonzero(~(budgets >= 0))[0]
-            raise ValidationError(f"invalid budget for buyer {i}: {budgets[i]}")
-        sizes = np.array(self.sizes or (1.0,) * self.num_items, dtype=float)
-        return values, budgets, sizes
+        count, n = len(self.prices), len(self.budgets)
+        if len(self.values) != n:
+            raise ValidationError(f"got {len(self.values)} value rows for {n} buyers")
+        for i, row in enumerate(self.values):
+            if len(row) != count:
+                raise ValidationError(f"value row {i} has {len(row)} items, expected {count}")
+        sizes = (1.0,) * count if self.sizes is None else self.sizes
+        if len(sizes) != count:
+            raise ValidationError(f"got {len(sizes)} sizes for {count} items")
+        return _checked(self.prices, np.array(self.values, dtype=float).reshape(n, count),
+                        np.array(self.budgets, dtype=float), np.array(sizes, dtype=float))
 
     def scan(self, prices=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The prices as an array, who wants which item at them, and desires."""
-        values, _, sizes = self.arrays
-        q = check_prices(self.prices if prices is None else prices, self.num_items, "items")
+        """The prices as a new array, who wants which item at them, and desires."""
+        q, values, _, sizes = self.arrays
+        q = q.copy() if prices is None else check_prices(prices, q.size, "items")
         wants = interested(values, q, sizes)
         return q, wants, desires(wants, q)
+
+
+def _checked(prices, values, budgets, sizes) -> tuple[np.ndarray, ...]:
+    """A market's arrays, read-only, once each entry is valid: ``values``
+    (``n x M``), ``budgets`` and ``sizes`` arrays of the right shapes, and
+    ``prices`` any sequence, copied and checked by ``check_prices``."""
+    # a NaN makes the minimum NaN, which fails the test
+    if not (values.min(initial=0.0) >= 0 and np.isfinite(values.max(initial=0.0))):
+        i, k = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
+        raise ValidationError(f"invalid value at ({i}, {k}): {values[i, k]}")
+    if not budgets.min(initial=0.0) >= 0:
+        i = np.flatnonzero(~(budgets >= 0))[0]
+        raise ValidationError(f"invalid budget for buyer {i}: {budgets[i]}")
+    if not (sizes.min(initial=1.0) > 0 and np.isfinite(sizes.max(initial=1.0))):
+        k = np.flatnonzero(~(np.isfinite(sizes) & (sizes > 0)))[0]
+        raise ValidationError(f"invalid size for item {k}: {sizes[k]}")
+    arrays = check_prices(prices, sizes.size, "items"), values, budgets, sizes
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -117,18 +182,20 @@ class ClearabilizeResult:
 
 def market_from_prices(inst: Instance, prices) -> ItemMarket:
     """Each dataset is one item at its linear price."""
-    prices = tuple(check_prices(prices, inst.m).tolist())
-    return ItemMarket(prices, inst.values, inst.budgets, tuple((j, 0) for j in range(inst.m)))
+    return ItemMarket._of_arrays(check_prices(prices, inst.m), inst.array, inst.budgets,
+                                 tuple((j, 0) for j in range(inst.m)))
 
 
 def shards_to_items(inst: Instance, shards: ShardSet) -> ItemMarket:
     """One item per shard, in dataset then shard order; buyers want the same
-    shards as under the curves."""
-    values, prices, sizes = shard_items(inst.array, shards)
+    shards as under the curves.  The items are sliced from the pricing's
+    shard grid, which ``revenue.pricing`` builds once and keeps in the
+    library's one memo, so after ``plc_opt.solve_plc`` no curve is read
+    again."""
+    values, prices, sizes = pricing(inst, shards).items
     real = sizes > 0
-    return ItemMarket(tuple(prices[real].tolist()), tuple(map(tuple, values[:, real].tolist())),
-                      inst.budgets, tuple(map(tuple, np.argwhere(real).tolist())),
-                      tuple(sizes[real].tolist()))
+    return ItemMarket._of_arrays(prices[real], values[:, real], inst.budgets, np.argwhere(real),
+                                 sizes[real])
 
 
 def desire(mkt: ItemMarket, i: int, prices=None) -> float:
@@ -140,14 +207,14 @@ def desire(mkt: ItemMarket, i: int, prices=None) -> float:
 
 def per_buyer_revenue(mkt: ItemMarket, prices=None) -> tuple[float, ...]:
     """``min(budget, desire)`` per buyer, as floats."""
-    return tuple(np.minimum(mkt.arrays[1], mkt.scan(prices)[2]).tolist())
+    return tuple(np.minimum(mkt.arrays[2], mkt.scan(prices)[2]).tolist())
 
 
 def _state(mkt: ItemMarket, q, wants, desire_) -> tuple[list[int], int, np.ndarray]:
     """From a scan of the market at prices ``q``: the positively priced items
     with no satisfied interested buyer, in index order (none when the prices
     are clearable), the potential, and which buyers are over budget."""
-    over = desire_ > mkt.arrays[1] + TOLERANCE
+    over = desire_ > mkt.arrays[2] + TOLERANCE
     priced = q > TOLERANCE
     violating = np.flatnonzero(priced & ~wants[~over].any(axis=0))
     phi1 = np.count_nonzero(priced) + wants.size - np.count_nonzero(wants)
@@ -191,7 +258,7 @@ def clearabilize(mkt: ItemMarket) -> ClearabilizeResult:
     count, and the potential trace (its value before each iteration and
     after the last one), so the count is one less than the trace's length.
     """
-    values, budgets, sizes = mkt.arrays
+    _, values, budgets, sizes = mkt.arrays
     ceiling = budgets + TOLERANCE  # a buyer is over budget when her desire exceeds it
     q, wants, desire_ = mkt.scan()  # a fresh price array, lowered in place
     # the wanted prices, kept with q: items x buyers and C-contiguous, so that
@@ -238,15 +305,16 @@ def clearing_allocation(mkt: ItemMarket, prices=None) -> Allocation:
     all of them hold it at once), so each positively priced item is fully
     owned by its lowest-index satisfied interested buyer.  A buyer is
     satisfied when her desire fits her budget within tolerance; every other
-    buyer spends her whole budget by ``demand.take``: the allocation is
-    ``demand.allocate``, the one ``optimal_demand`` uses too.  Zero-priced
-    items go to everyone.
+    buyer, one whose ``desire > budget + TOLERANCE``, spends her whole
+    budget by ``demand.take``: the allocation is ``demand.allocate``, the
+    one ``optimal_demand`` uses too, which spends wherever ``budget <
+    cost``, with no tolerance.  Zero-priced items go to everyone.
     """
     q, wants, desire_ = mkt.scan(prices)
     violating, _, over = _state(mkt, q, wants, desire_)
     if violating:
         raise ValueError("prices are not clearable")
-    values, budgets, _ = mkt.arrays
+    _, values, budgets, _ = mkt.arrays
     fractions = allocate(budgets, values, q, wants, over)
     payments = np.minimum(budgets, desire_).tolist()
     bundles = tuple(Bundle(tuple(row), pay) for row, pay in zip(fractions.tolist(), payments))

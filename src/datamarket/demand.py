@@ -2,12 +2,14 @@
 
 ``optimal_demand`` gives a buyer's utility-maximizing bundle under shard
 pricing.  It computes every buyer's bundle in one pass over the market and
-keeps them for the last instance and ShardSet, so a loop over the buyers
-costs one pass.  ``allocate`` is the one whole-market allocation, one buyer
-a row: the rows it is told spend their budgets by ``take``, the one
-fractional-knapsack rule, and every other row takes each wanted item whole.
+keeps them with the pricing's shard items in the library's one memo
+(``revenue.pricing``), so a loop over the buyers costs one pass.
+``allocate`` is the one whole-market allocation, one buyer a row: the rows
+it is told spend their budgets by ``take``, the one fractional-knapsack
+rule, and every other row takes each wanted item whole.
 ``optimal_demand`` and ``clearing.clearing_allocation`` both call it; only
-their tests for who spends differ.  ``rate_threshold``
+their tests for who spends differ: ``budget < cost`` here, ``desire >
+budget + TOLERANCE`` there.  ``rate_threshold``
 finds the largest prefix of a dataset whose marginal price stays within a
 buyer's per-unit value, and ``convexify``/``piecewise_linearize`` are the two
 revenue-safe curve transforms: lower convex envelope and slope
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Bundle, Instance, ShardCurve, ShardSet, ValidationError
-from .revenue import desires, interested, left_to_right, shard_items
+from .revenue import desires, interested, left_to_right, pricing
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,13 @@ def allocate(budgets, values, prices, wants, spends) -> np.ndarray:
     return fractions
 
 
-def _market_demand(inst: Instance, shards: ShardSet) -> tuple[Bundle, ...]:
+def _market_demand(inst: Instance, items) -> tuple[Bundle, ...]:
     """Every buyer's optimal bundle under shard pricing, as ``optimal_demand``
-    gives it one at a time: one ``allocate`` over the market, in which the
-    buyers whose budget binds spend it."""
+    gives it one at a time, from the pricing's shard ``items``: one
+    ``allocate`` over the market, in which the buyers whose budget binds
+    spend it."""
     budgets = np.array(inst.budgets, dtype=float)
-    values, prices, sizes = shard_items(inst.array, shards)
+    values, prices, sizes = items
     wants = interested(values, prices, sizes)
     total_cost = left_to_right(desires(wants, prices))
     flat = (inst.n, prices.size)
@@ -152,30 +155,26 @@ def optimal_demand(inst: Instance, i: int, shards: ShardSet) -> Bundle:
     unit of money, ``(value - price) / price``, fractionally at the margin.
     A shard whose surplus lies within the tolerance of zero is ranked by that
     ratio like any other; only exact ties go in dataset then shard order.
+    A buyer spends when ``budget < cost``, with no tolerance, where
+    clearing's allocation lets a buyer spend only when her desire exceeds
+    ``budget + TOLERANCE``; the two rules differ by design until one money
+    unit decides every tolerance.
 
-    Every call that misses computes every buyer's bundle in one
-    ``_market_demand`` pass.  A memo keeps them for the last instance and
-    ShardSet (found by identity) when the ShardSet is a tuple; an instance
-    always holds tuples, so neither can change while it is kept.  So a loop
-    over the buyers under one pricing, such as ``plc_opt.extract_allocation``
-    or any per-buyer caller, costs one pass; a ShardSet of another type is
-    read again on every call.
+    The first call under a pricing computes every buyer's bundle in one
+    ``_market_demand`` pass over the pricing's shard items and keeps them
+    with those items in the library's one memo (``revenue.pricing``): the
+    last instance and ShardSet, found by identity, when the ShardSet is a
+    tuple.  So a loop over the buyers under one pricing, such as
+    ``plc_opt.extract_allocation`` or any per-buyer caller, costs one pass,
+    and after ``plc_opt.solve_plc`` it reads the grid its revenue check
+    built; a ShardSet of another type is read again on every call.
     """
     if not 0 <= i < inst.n:
         raise IndexError(f"buyer index {i} out of range for n={inst.n}")
-    global _last_demand
-    last_inst, last_shards, bundles = _last_demand  # one read: the key and bundles stay a pair
-    if inst is last_inst and shards is last_shards:
-        return bundles[i]
-    bundles = _market_demand(inst, shards)
-    if type(shards) is tuple:
-        _last_demand = inst, shards, bundles
-    return bundles[i]
-
-
-#: The last instance and tuple ShardSet ``optimal_demand`` read, with every
-#: buyer's bundle under them.
-_last_demand: tuple = (None, None, None)
+    record = pricing(inst, shards)
+    if record.bundles is None:
+        record.bundles = _market_demand(inst, record.items)
+    return record.bundles[i]
 
 
 def convexify(curve: PiecewiseCurve) -> ShardCurve:

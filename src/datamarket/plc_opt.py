@@ -269,12 +269,13 @@ def solve_plc(inst: Instance) -> PlcSolution:
     x = np.array(solution.x)
     # the master's variables: the median z columns, the revenues, then the rest
     sizes, revenues = np.concatenate((x[:m], x[m + k:])), x[m:m + k]
-    curves = []
-    for j in range(inst.m):
-        kept = (market.dataset[columns] == j) & (sizes > TOLERANCE)
-        curves.append(ShardCurve.from_pairs(
-            zip(sizes[kept].tolist(), market.distinct[columns[kept]].tolist())))
-    shards = tuple(curves)
+    # the kept columns by dataset, each dataset's in master order, then one
+    # slice of (size, slope) pairs per dataset
+    kept = np.flatnonzero(sizes > TOLERANCE)
+    kept = kept[np.argsort(market.dataset[columns[kept]], kind="stable")]
+    pairs = list(zip(sizes[kept].tolist(), market.distinct[columns[kept]].tolist()))
+    ends = np.searchsorted(market.dataset[columns[kept]], np.arange(m + 1)).tolist()
+    shards = tuple(ShardCurve.from_pairs(pairs[a:b]) for a, b in zip(ends, ends[1:]))
 
     per_buyer, total = shard_revenue(inst, shards)
     gaps = np.abs(np.take(per_buyer, market.payers) - revenues * scale)
@@ -292,8 +293,7 @@ def solve_plc(inst: Instance) -> PlcSolution:
                    "phase2_pivots": solution.phase2_pivots,
                    "degenerate_pivots": solution.degenerate_pivots,
                    "revenue_gap": float(gaps.max(initial=0.0))}
-    positive = int((sizes > TOLERANCE).sum())
-    return PlcSolution(shards, per_buyer, total, positive, diagnostics)
+    return PlcSolution(shards, per_buyer, total, kept.size, diagnostics)
 
 
 def extract_allocation(inst: Instance, shards: ShardSet) -> Allocation:

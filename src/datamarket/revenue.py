@@ -17,6 +17,7 @@ sum by ``np.add.accumulate``.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -110,10 +111,11 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
     """Every shard as an item for buyers with per-unit ``values`` (``... x
     m``): the items' values (``... x m x T``), prices (slope times size) and
     sizes (``m x T``).  Curves with fewer shards are padded with empty ones
-    at an infinite price, which nobody wants.  The ``m x T`` grid is built
-    on every call; the per-buyer loops, ``plc_opt.extract_allocation`` and
-    other callers of ``demand.optimal_demand``, build it once per market
-    through that function's memo of the last market's bundles.  Raises
+    at an infinite price, which nobody wants.  Every call builds the grid
+    and checks every curve; an instance's buyers read it through
+    ``pricing``, which keeps the last tuple ShardSet's grid in the
+    library's one memo, so ``shard_revenue``, ``demand.optimal_demand`` and
+    ``clearing.shards_to_items`` build it once per pricing.  Raises
     ValidationError, with ``ShardCurve.validate``'s messages, on a curve
     with no shard, a non-positive shard size or a negative or non-finite
     slope."""
@@ -133,6 +135,45 @@ def shard_items(values, shards: ShardSet) -> tuple[np.ndarray, np.ndarray, np.nd
         raise ValidationError(f"curve {j}: " + "; ".join(shards[j].validate()))
     prices = np.where(sizes > 0, slopes * sizes, math.inf)
     return values[..., None] * sizes, prices, sizes
+
+
+@dataclass(eq=False)
+class Pricing:
+    """One ShardSet priced for one instance's buyers: ``items`` is
+    ``shard_items(inst.array, shards)``, its three arrays read-only, and
+    ``bundles`` every buyer's optimal bundle, once ``demand.optimal_demand``
+    has computed them (``None`` until then)."""
+
+    items: tuple[np.ndarray, np.ndarray, np.ndarray]
+    bundles: tuple | None = None
+
+
+def pricing(inst: Instance, shards: ShardSet) -> Pricing:
+    """The ``Pricing`` of ``shards`` for ``inst``, through the library's one
+    memo, ``_last_pricing``: it keeps the last instance and ShardSet read
+    (found by identity) with their ``Pricing``, when the ShardSet is a
+    tuple; an instance always holds tuples, so neither can change while it
+    is kept.  So the readers of one pricing, ``shard_revenue`` (which
+    ``plc_opt.solve_plc`` calls first), ``demand.optimal_demand`` and
+    ``clearing.shards_to_items``, build and check its grid once.  Another
+    instance, another tuple (even an equal one) or a ShardSet of another
+    type is built again, and a build that raises is never kept."""
+    global _last_pricing
+    last_inst, last_shards, last = _last_pricing  # one read: the key and record stay together
+    if inst is last_inst and shards is last_shards:
+        return last
+    items = shard_items(inst.array, shards)
+    for a in items:
+        a.flags.writeable = False
+    record = Pricing(items)
+    if type(shards) is tuple:
+        _last_pricing = inst, shards, record
+    return record
+
+
+#: The library's one memo: the last instance and tuple ShardSet ``pricing``
+#: read, with their ``Pricing``.  It holds one pricing at a time.
+_last_pricing: tuple = (None, None, None)
 
 
 def shard_desires(values, shards: ShardSet) -> np.ndarray:
@@ -162,7 +203,8 @@ def shard_revenue(inst: Instance, shards: ShardSet) -> tuple[tuple[float, ...], 
     Each buyer pays for exactly the shards whose slope does not exceed her
     per-unit value for the dataset, capped at her budget.
     """
-    desire = shard_desires(inst.array, shards)
+    values, prices, sizes = pricing(inst, shards).items
+    desire = left_to_right(desires(interested(values, prices, sizes), prices))
     return tuple(np.minimum(inst.budgets, desire).tolist()), float(revenue(inst.budgets, desire))
 
 

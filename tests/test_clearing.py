@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -337,6 +339,47 @@ def test_clearabilize_equals_a_full_rescan_on_both_branches(monkeypatch, unit):
     assert 0 < crossings < iterations  # both branches ran
 
 
+@pytest.mark.parametrize("unit", [1e-8, 1.0, 1e8, 1e12])
+def test_an_array_backed_market_equals_one_built_from_its_fields(unit):
+    # the curves are each seed's optimal ones with every slope times the unit
+    for seed in range(6):
+        base = gen_random(12, 6, seed=seed + 8500, budget_scale=(0.25, 1.0, 4.0)[seed % 3])
+        inst = Instance.make([b * unit for b in base.budgets],
+                             [[v * unit for v in row] for row in base.values])
+        curves = tuple(ShardCurve(tuple((z, a * unit) for z, a in curve.shards))
+                       for curve in solve_plc(base).shards)
+        q = tuple(v * unit for v in base.values[seed])
+        for mkt in (shards_to_items(inst, curves), market_from_prices(inst, q)):
+            fields = (mkt.prices, mkt.values, mkt.budgets, mkt.item_origin, mkt.sizes)
+            assert all(type(f) is tuple for f in fields[:4])
+            assert all(type(row) is tuple for row in (*mkt.values, *mkt.item_origin))
+            assert not any(a.flags.writeable for a in mkt.arrays)
+            built = ItemMarket(*fields)
+            assert built == mkt
+            cleared = clearabilize(mkt)
+            for call in (clearabilize, per_buyer_revenue, is_clearable,
+                         lambda m: per_buyer_revenue(m, cleared.prices),
+                         lambda m: is_clearable(m, cleared.prices),
+                         lambda m: clearing_allocation(m, cleared.prices)):
+                assert repr(call(built)) == repr(call(mkt))  # bit for bit
+    assert market_from_prices(inst, q).sizes is None
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda mkt: pickle.loads(pickle.dumps(mkt))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_copied_market_builds_its_own_read_only_arrays(copy_of):
+    inst = gen_random(8, 4, seed=5)
+    for mkt in (shards_to_items(inst, solve_plc(inst).shards), market_from_prices(inst, [0.3] * 4),
+                ItemMarket((0.5, 0.3), ((0.6, 0.3), (0.4, 0.3)), (1.0, 0.2))):
+        mkt.arrays  # build them before copying
+        twin = copy_of(mkt)
+        assert twin == mkt and type(twin.values[0]) is tuple
+        assert not any(a.flags.writeable for a in twin.arrays)
+        assert twin.arrays[1] is not mkt.arrays[1]
+        assert repr(clearabilize(twin)) == repr(clearabilize(mkt))
+
+
 def test_clearabilize_lowers_to_the_budget_left_without_residue():
     # nonsub's optimal curves price dataset 0 at 0.001; buyer 1 wants both
     # datasets on a budget of 1, so dataset 0 drops to 1 - 1.0 = 0.0 exactly,
@@ -468,6 +511,28 @@ def test_an_item_market_rejects_a_bad_value_or_budget(values, budgets, message):
     mkt = ItemMarket((0.5,) * len(values[0]), values, budgets)
     for call in (clearabilize, is_clearable, per_buyer_revenue, clearing_allocation,
                  lambda mkt: mkt.arrays):
+        with pytest.raises(ValidationError) as exc:
+            call(mkt)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((1.0,), ((1.0,),), (1.0,), None, (-1.0,)), "invalid size for item 0: -1.0"),
+    (((1.0,), ((1.0,),), (1.0,), None, (math.nan,)), "invalid size for item 0: nan"),
+    (((1.0, 0.5), ((1.0, 1.0),), (1.0,), None, (0.5, 0.0)), "invalid size for item 1: 0.0"),
+    (((1.0, 0.5), ((1.0, 1.0),), (1.0,), None, (1.0,)), "got 1 sizes for 2 items"),
+    (((1.0, 0.5), ((1.0, 1.0), (2.0,)), (1.0, 1.0)), "value row 1 has 1 items, expected 2"),
+    (((1.0, 0.5), ((1.0,),), (1.0,)), "value row 0 has 1 items, expected 2"),
+    (((1.0,), ((1.0,),), (1.0, 2.0)), "got 1 value rows for 2 buyers"),
+], ids=["negative-size", "nan-size", "zero-size", "short-sizes", "ragged-row", "short-row",
+        "missing-row"])
+def test_an_item_market_rejects_a_bad_size_or_shape(fields, message):
+    # a negative or NaN size made every buyer want the item at any price, so
+    # the market cleared to 0.0 and earned 0.0; short sizes and rows raised
+    # IndexError or numpy's reshape error
+    mkt = ItemMarket(*fields)
+    for call in (clearabilize, is_clearable, per_buyer_revenue, clearing_allocation,
+                 lambda mkt: mkt.num_items, lambda mkt: mkt.arrays):
         with pytest.raises(ValidationError) as exc:
             call(mkt)
         assert str(exc.value) == message

@@ -4,16 +4,19 @@ import random
 import numpy as np
 import pytest
 
-from datamarket.clearing import shards_to_items
+from datamarket import revenue
+from datamarket.clearing import ItemMarket, clearabilize, clearing_allocation, shards_to_items
 from datamarket.demand import optimal_demand
 from datamarket.fixtures import gen_greedy_suboptimal, gen_lingap, gen_nonsub, gen_random
 from datamarket.model import (
+    Bundle,
     Instance,
     ShardCurve,
     ValidationError,
     partition_prices,
     prices_to_shardset,
 )
+from datamarket.plc_opt import extract_allocation, solve_plc
 from datamarket.properties import extension_gaps, partition_marginal_gaps
 from datamarket.revenue import (
     buyer_desire,
@@ -189,13 +192,34 @@ def test_shard_set_must_cover_every_dataset(read):
         read(inst, (ShardCurve(((1.0, 0.1),)),))
 
 
-def test_shard_arrays_are_built_once_per_shardset():
+def test_shard_arrays_are_built_once_per_shardset(monkeypatch):
     shards = (ShardCurve.from_pairs([(0.25, 0.5), (0.75, 2.0)]), ShardCurve(((1.0, 1.0),)))
     _, prices, sizes = shard_items([1.0, 2.0], shards)
     _, again, _ = shard_items([[0.5, 0.5], [3.0, 1.0]], list(shards))  # an equal ShardSet
     assert prices.tolist() == [[0.125, 1.5], [1.0, math.inf]]
     assert again.tolist() == prices.tolist()
     assert sizes.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+    builds = []
+    real = revenue.shard_items
+    monkeypatch.setattr(revenue, "shard_items", lambda *args: builds.append(1) or real(*args))
+    # a master with 18 shards over 10 curves: solve, allocate and clear read one grid
+    inst = gen_random(20, 10, seed=7, budget_scale=4)
+    sol = solve_plc(inst)
+    extract_allocation(inst, sol.shards)
+    mkt = shards_to_items(inst, sol.shards)
+    clearing_allocation(mkt, clearabilize(mkt).prices)
+    assert sum(len(curve.shards) for curve in sol.shards) == 18
+    assert len(builds) == 1
+    items = revenue.pricing(inst, sol.shards).items
+    assert revenue.pricing(inst, sol.shards).items is items
+    assert not any(a.flags.writeable for a in (*items, *mkt.arrays))
+    assert len(builds) == 1
+    # an equal but distinct tuple, a list (on every call) and another instance build again
+    again = Instance.make(inst.budgets, inst.values)
+    for read in ((inst, tuple(list(sol.shards))), (inst, list(sol.shards)),
+                 (inst, list(sol.shards)), (again, sol.shards)):
+        assert shard_revenue(*read) == (sol.per_buyer_revenue, sol.total_revenue)
+    assert len(builds) == 5
 
 
 def test_a_changed_list_shardset_is_read_again():
@@ -223,11 +247,22 @@ def test_every_shard_reader_rejects_a_directly_built_bad_curve(bad, message):
     # from_pairs would refuse these curves; built directly, they reach the readers
     inst = Instance.make([1.0, 1.0], [[0.5, 0.2], [0.3, 0.4]])
     shards = (ShardCurve(((1.0, 0.2),)), ShardCurve(bad))
-    for read in (lambda: shard_items(inst.array, shards), lambda: shard_revenue(inst, shards),
-                 lambda: optimal_demand(inst, 0, shards), lambda: shards_to_items(inst, shards)):
-        with pytest.raises(ValidationError) as exc:
-            read()
-        assert str(exc.value) == message
+    good = (ShardCurve(((1.0, 0.2),)), ShardCurve(((1.0, 0.3),)))
+    readers = [
+        (lambda s: [a.tolist() for a in shard_items(inst.array, s)],
+         [[[[0.5], [0.2]], [[0.3], [0.4]]], [[0.2], [0.3]], [[1.0], [1.0]]]),
+        (lambda s: shard_revenue(inst, s), ((0.2, 0.5), 0.2 + 0.5)),
+        (lambda s: optimal_demand(inst, 1, s), Bundle((1.0, 1.0), 0.2 + 0.3)),
+        (lambda s: shards_to_items(inst, s),
+         ItemMarket((0.2, 0.3), ((0.5, 0.2), (0.3, 0.4)), (1.0, 1.0), ((0, 0), (1, 0)),
+                    (1.0, 1.0))),
+    ]
+    for read, want in readers:
+        for _ in range(2):  # a failed build is never kept
+            with pytest.raises(ValidationError) as exc:
+                read(shards)
+            assert str(exc.value) == message
+        assert read(good) == want
 
 
 def test_a_market_of_empty_curves_is_rejected():
