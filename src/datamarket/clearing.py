@@ -87,15 +87,17 @@ class ItemMarket:
                              item_origin=item_origin, sizes=sizes)
 
     @classmethod
-    def _of_arrays(cls, prices, values, budgets, item_origin, sizes=None) -> "ItemMarket":
+    def _of_arrays(cls, prices, values, budgets, item_origin, sizes=None,
+                   valid=False) -> "ItemMarket":
         """A market over the arrays ``prices``, ``values`` (``n x M``, new or
         read-only) and ``sizes`` (``None``: whole datasets), with
         ``budgets`` the instance's tuple and ``item_origin`` an ``M x 2``
-        array or a tuple.  It checks the arrays and makes them read-only;
-        each field given as an array becomes a tuple on first read."""
+        array or a tuple.  It checks the arrays (unless ``valid``: see
+        ``_checked``) and makes them read-only; each field given as an array
+        becomes a tuple on first read."""
         mkt = object.__new__(cls)
         arrays = _checked(prices, values, np.array(budgets, dtype=float),
-                          np.ones(prices.size) if sizes is None else sizes)
+                          np.ones(prices.size) if sizes is None else sizes, valid)
         mkt.__dict__.update(arrays=arrays, _fields=dict(
             prices=arrays[0], values=values, budgets=budgets, item_origin=item_origin, sizes=sizes))
         return mkt
@@ -153,21 +155,25 @@ class ItemMarket:
         return q, wants, desires(wants, q)
 
 
-def _checked(prices, values, budgets, sizes) -> tuple[np.ndarray, ...]:
+def _checked(prices, values, budgets, sizes, valid=False) -> tuple[np.ndarray, ...]:
     """A market's arrays, read-only, once each entry is valid: ``values``
     (``n x M``), ``budgets`` and ``sizes`` arrays of the right shapes, and
-    ``prices`` any sequence, copied and checked by ``check_prices``."""
-    # a NaN makes the minimum NaN, which fails the test
-    if not (values.min(initial=0.0) >= 0 and np.isfinite(values.max(initial=0.0))):
-        i, k = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
-        raise ValidationError(f"invalid value at ({i}, {k}): {values[i, k]}")
-    if not budgets.min(initial=0.0) >= 0:
-        i = np.flatnonzero(~(budgets >= 0))[0]
-        raise ValidationError(f"invalid budget for buyer {i}: {budgets[i]}")
-    if not (sizes.min(initial=1.0) > 0 and np.isfinite(sizes.max(initial=1.0))):
-        k = np.flatnonzero(~(np.isfinite(sizes) & (sizes > 0)))[0]
-        raise ValidationError(f"invalid size for item {k}: {sizes[k]}")
-    arrays = check_prices(prices, sizes.size, "items"), values, budgets, sizes
+    ``prices`` any sequence, copied and checked by ``check_prices``.  With
+    ``valid`` the caller has checked every entry already, ``prices`` by
+    ``check_prices`` (so it is a new array), and none is read again."""
+    if not valid:
+        # a NaN makes the minimum NaN, which fails the test
+        if not (values.min(initial=0.0) >= 0 and np.isfinite(values.max(initial=0.0))):
+            i, k = np.argwhere(~(np.isfinite(values) & (values >= 0)))[0]
+            raise ValidationError(f"invalid value at ({i}, {k}): {values[i, k]}")
+        if not budgets.min(initial=0.0) >= 0:
+            i = np.flatnonzero(~(budgets >= 0))[0]
+            raise ValidationError(f"invalid budget for buyer {i}: {budgets[i]}")
+        if not (sizes.min(initial=1.0) > 0 and np.isfinite(sizes.max(initial=1.0))):
+            k = np.flatnonzero(~(np.isfinite(sizes) & (sizes > 0)))[0]
+            raise ValidationError(f"invalid size for item {k}: {sizes[k]}")
+        prices = check_prices(prices, sizes.size, "items")
+    arrays = prices, values, budgets, sizes
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -181,9 +187,10 @@ class ClearabilizeResult:
 
 
 def market_from_prices(inst: Instance, prices) -> ItemMarket:
-    """Each dataset is one item at its linear price."""
+    """Each dataset is one item at its linear price.  Only the prices are
+    checked: the instance's values and budgets were when it was made."""
     return ItemMarket._of_arrays(check_prices(prices, inst.m), inst.array, inst.budgets,
-                                 tuple((j, 0) for j in range(inst.m)))
+                                 tuple((j, 0) for j in range(inst.m)), valid=True)
 
 
 def shards_to_items(inst: Instance, shards: ShardSet) -> ItemMarket:

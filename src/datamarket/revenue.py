@@ -73,33 +73,66 @@ def desires(wants: np.ndarray, prices) -> np.ndarray:
     return left_to_right(np.where(wants, prices, 0.0))
 
 
-#: An array of desires whose rows hold at most this many entries is capped in
-#: one ``np.minimum``; longer rows are capped one buyer at a time, which holds
-#: one capped row where the one call holds a capped copy of the whole array
-#: (0.3 and 0.6 MB more traced at the peak of continuous greedy at 60x30 and
-#: 100x50, whose rows hold each picked copy).
-BLOCK_ROW_ENTRIES = 256
+#: ``revenue`` caps and adds an array's buyers in blocks of consecutive
+#: buyers whose rows hold at most this many entries together, so a block and
+#: its capped copy take 0.5 MB each however many buyers there are.
+BLOCK_ENTRIES = 2**16
+
+#: Rows go in blocks only when at least this many fit in one.  A block after
+#: the first costs about three passes over a row beyond the buyer loop's adds
+#: (the total copied in, and the reduce's start), which its one call repays
+#: from about 8 rows on: such blocks took 1.6 times the buyer loop's time on
+#: rows of 24,600 entries, 2 to a block, and a quarter of it on rows of 512.
+BLOCK_MIN_ROWS = 8
 
 
-def revenue(budgets, buyer_desires):
+def block_rows(row_entries: int) -> int:
+    """How many consecutive buyers ``revenue`` caps and adds as one block
+    when each row holds ``row_entries`` entries: as many as
+    ``BLOCK_ENTRIES`` holds, and one when a row holds more."""
+    return max(1, BLOCK_ENTRIES // max(1, row_entries))
+
+
+def revenue(budgets, buyer_desires, total=None):
     """The budget-capped sum ``sum_i min(b_i, desire_i)``, added in buyer order.
 
     ``buyer_desires`` runs over buyers (an array's rows or a generator); each
-    row is one desire or the desires under several price vectors.  An array
-    whose rows hold at most ``BLOCK_ROW_ENTRIES`` entries is capped in one
-    ``np.minimum`` and added over buyers by ``left_to_right``, which adds in
-    the same sequence as the buyer loop and gives the same bits; generators
-    and longer rows go through the loop, which adds each capped row into a
-    running total of its own from a ``0.0`` start; the capped row is freed
-    before the next row is asked for.  A generator may therefore yield the
-    same buffer for every buyer, and the result never aliases or changes a
+    row is one desire or the desires under several price vectors.  The sum
+    adds onto ``total``, a running total over earlier buyers, which the call
+    may change in place (``None``: from ``0.0``), and returns the new total.
+
+    An array whose rows are short enough for ``BLOCK_MIN_ROWS`` of them to
+    share a block goes ``block_rows`` buyers at a time.  A block is capped
+    in one ``np.minimum`` and added down its buyers by one
+    ``left_to_right``: the first block onto nothing, and every later one, or
+    one given a total, with the running total stacked above its capped
+    rows, ``[total; capped rows]``.  Generators and other arrays go one
+    buyer at a time: each capped row is added into the total in place and
+    freed before the next row is asked for, so a generator may yield the
+    same buffer for every buyer.  Each way adds each buyer in sequence, with
+    the bits of the buyer loop, and the result never aliases or changes a
     row it was given.
     """
-    if (isinstance(buyer_desires, np.ndarray)
-            and math.prod(buyer_desires.shape[1:]) <= BLOCK_ROW_ENTRIES):
-        # .T puts the buyers last for the sum and gives the rows their shape back
-        return left_to_right(np.minimum(budgets, buyer_desires.T)).T
-    total = None
+    if isinstance(buyer_desires, np.ndarray):
+        row = buyer_desires.shape[1:]
+        run = block_rows(math.prod(row))
+        if run >= BLOCK_MIN_ROWS:
+            # .T puts the buyers last, so each budget caps its own row, and
+            # the sum runs down the buyers in the rows' own shape
+            start = 0
+            if total is None:  # the first block, onto nothing; a whole array is not sliced
+                caps, rows = ((budgets, buyer_desires) if len(buyer_desires) <= run
+                              else (budgets[:run], buyer_desires[:run]))
+                total, start = left_to_right(np.minimum(caps, rows.T)).T, run
+            for start in range(start, len(buyer_desires), run):
+                caps = budgets[start:start + run]
+                stack = np.empty((len(caps) + 1, *row))
+                stack[0] = total
+                np.minimum(caps, buyer_desires[start:start + run].T, out=stack[1:].T)
+                total = left_to_right(stack.T).T
+            return total
+    if total is not None:
+        total = np.asarray(total)  # a sum of 1-D desires may come as a numpy scalar
     for budget, desire in zip(budgets, buyer_desires):
         if total is None:
             total = np.zeros(np.shape(desire))

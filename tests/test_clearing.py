@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from datamarket import clearing
+from datamarket import clearing, model
 from datamarket.clearing import (
     ItemMarket,
     clearabilize,
@@ -476,6 +476,36 @@ def test_scans_reject_a_price_vector_of_the_wrong_length(call, prices):
 def test_market_from_prices_rejects_the_wrong_number_of_prices(prices):
     with pytest.raises(ValueError, match=f"got {len(prices)} prices for 3 datasets"):
         market_from_prices(gen_random(4, 3, seed=2), prices)
+
+
+@pytest.mark.parametrize("prices, message", [
+    ((0.5, 0.5), "got 2 prices for 3 datasets"),
+    ((0.5,) * 4, "got 4 prices for 3 datasets"),
+    ((0.5, -1.0, 0.5), "invalid price at index 1: -1.0"),
+    ((0.5, 0.5, math.nan), "invalid price at index 2: nan"),
+    ((math.inf, 0.5, 0.5), "invalid price at index 0: inf"),
+    ((0.5, 0.25, 0.0), None),
+])
+def test_market_from_prices_checks_its_prices_once(monkeypatch, prices, message):
+    # the instance's values and budgets were checked when it was made, and
+    # the prices by the one check that names datasets
+    inst = gen_random(4, 3, seed=2)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return model.check_prices(*args)
+
+    monkeypatch.setattr(clearing, "check_prices", spy)
+    if message is None:
+        mkt = market_from_prices(inst, prices)
+        assert mkt.prices == prices and mkt.arrays[1] is inst.array
+        assert not any(a.flags.writeable for a in mkt.arrays)
+    else:
+        with pytest.raises(ValidationError) as exc:
+            market_from_prices(inst, prices)
+        assert str(exc.value) == message
+    assert calls == [(prices, 3)]
 
 
 def test_clearabilize_raises_after_exactly_its_bound(monkeypatch):

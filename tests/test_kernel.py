@@ -1,11 +1,12 @@
 """The revenue kernel adds in a fixed order: items left to right, then
 buyers left to right.  These tests compare it with ``==`` against plain
-Python loops written in that order, check continuous greedy's per-step
-estimate against its two-pass reference, check the many-buyer spend and
-every buyer's demand against their one-buyer references bit for bit, pin
-the output of ``continuous_greedy`` on two seeded instances, and check that
-it is the same under every BLAS kernel."""
+Python loops written in that order, in whatever blocks it adds the buyers,
+check continuous greedy's per-step estimate against its two-pass reference,
+check the many-buyer spend and every buyer's demand against their one-buyer
+references bit for bit, pin the output of ``continuous_greedy`` on seeded
+instances, and check that it is the same under every BLAS kernel."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import datamarket
+import datamarket.revenue as kernel
 from datamarket.clearing import market_from_prices, per_buyer_revenue, shards_to_items
 from datamarket.demand import optimal_demand, take
 from datamarket.fixtures import gen_random
@@ -27,7 +29,7 @@ from datamarket.linear_opt import (
     _value_index,
     continuous_greedy,
 )
-from datamarket.model import partition_prices, prices_to_shardset
+from datamarket.model import Instance, partition_prices, prices_to_shardset
 from datamarket.plc_opt import solve_plc
 from datamarket.revenue import (
     extension_value,
@@ -141,7 +143,7 @@ def _buyer_loop(budgets, desires):
     return total
 
 
-@pytest.mark.parametrize("row_shape", [(), (1,), (256,), (257,), (3, 4)])
+@pytest.mark.parametrize("row_shape", [(), (1,), (256,), (257,), (3, 4), (8192,), (8193,)])
 def test_revenue_of_an_array_is_the_buyer_loop(row_shape):
     rng = np.random.default_rng(len(row_shape) + sum(row_shape))
     n = 9
@@ -156,6 +158,57 @@ def test_revenue_of_an_array_is_the_buyer_loop(row_shape):
         _assert_same_bits(revenue(b, iter(desires)), _buyer_loop(budgets, desires))
     zeros = -0.0 * np.abs(desires)  # every row -0.0: sums to +0.0, as from the loop's start
     _assert_same_bits(revenue(budgets, zeros), _buyer_loop(budgets, zeros))
+
+
+def _hard_rows(rng, n, row_shape):
+    """Budgets and desires for ``n`` buyers: mixed magnitudes, zero and
+    infinite budgets, ``-0.0`` rows and entries."""
+    budgets = np.abs(_mixed(rng, n))
+    budgets[1::5] = 0.0
+    budgets[2::7] = np.inf
+    desires = _mixed(rng, (n,) + row_shape)
+    desires[::6] = -0.0
+    some = desires[3::4]  # a view: these rows get -0.0 in place of each positive entry
+    some[some > 0] = -0.0
+    return budgets, desires
+
+
+@pytest.mark.parametrize("row_shape", [(), (1,), (1, 1), (2,), (4, 2), (5, 3), (40,)])
+def test_revenue_in_small_blocks_is_the_buyer_loop(monkeypatch, row_shape):
+    # with blocks of 64 entries, rows of up to 8 entries share blocks of 64,
+    # 32, 16 or 8 buyers and 129 buyers leave one in the last block; longer
+    # rows go one buyer at a time
+    monkeypatch.setattr(kernel, "BLOCK_ENTRIES", 64)
+    rng = np.random.default_rng([len(row_shape), *row_shape])
+    budgets, desires = _hard_rows(rng, 129, row_shape)
+    want = _buyer_loop(budgets, desires)
+    _assert_same_bits(revenue(budgets, desires), want)
+    # adding the buyers in two calls onto one running total changes no bit,
+    # also when the rest comes from a generator
+    for cut in (1, 8, 64, 100, 128):
+        _assert_same_bits(revenue(budgets[cut:], desires[cut:],
+                                  revenue(budgets[:cut], desires[:cut])), want)
+        _assert_same_bits(revenue(budgets[cut:], iter(desires[cut:]),
+                                  revenue(budgets[:cut], desires[:cut])), want)
+
+
+@pytest.mark.parametrize("n", [100, 2000, 70_000])
+@pytest.mark.parametrize("row_shape", [(), (1,), (1, 1)])
+def test_revenue_of_one_entry_rows_adds_in_sequence(n, row_shape):
+    # reduced down the buyers, a block of one-entry rows would add pairwise
+    rng = np.random.default_rng(n + len(row_shape))
+    budgets, desires = _hard_rows(rng, n, row_shape)
+    _assert_same_bits(revenue(budgets, desires), _buyer_loop(budgets, desires))
+
+
+@pytest.mark.parametrize("row_shape", [(), (1,), (300,), (9000,), (3, 4)])
+@pytest.mark.parametrize("budget", [0.0, 0.5, np.inf])
+def test_revenue_of_one_buyer(row_shape, budget):
+    rng = np.random.default_rng(len(row_shape))
+    desires = _mixed(rng, (1,) + row_shape)
+    for rows in (desires, -0.0 * np.abs(desires)):
+        _assert_same_bits(revenue([budget], rows), _buyer_loop([budget], rows))
+        _assert_same_bits(revenue([budget], iter(rows)), _buyer_loop([budget], rows))
 
 
 @pytest.mark.parametrize("row_shape", [(), (257,), (3, 4)])
@@ -399,6 +452,37 @@ def test_continuous_greedy_pinned_output(args, kwargs, prices, partition, revenu
     assert sol.prices == prices
     assert sol.partition == partition
     assert sol.revenue == revenue
+
+
+def _tie_case(value):
+    # two buyers with no budget and one tiny or subnormal value: copies
+    # whose bound is 0, or whose value underflows it, in every step
+    return Instance.make([0.0, 0.0, 3.0, 0.5], [[0.0, 0.5], [2.0, 2.0], [value, 1.0], [2.0, 0.5]])
+
+
+@pytest.mark.parametrize("make, kwargs, digest", [
+    # one dataset and one sample: the copies' rows hold one entry each
+    *[pytest.param(lambda s=s: gen_random(300, 1, s, budget_scale=0.5),
+                   dict(steps=4, samples=1, roundings=1, seed=s), digest, id=f"300x1-s{s}")
+      for s, digest in enumerate(["31f1ece5da028819", "7aba5d4de62d1dbc", "0e8a7b10b1ce74c3",
+                                  "bd436ad78ef5b65a", "9c44bf35447a060e", "bbcd54be5376864c"])],
+    pytest.param(lambda: _tie_case(1e-20), dict(steps=3, samples=3, roundings=2, seed=35),
+                 "53f4a76eec239b51", id="tie-1e-20"),
+    pytest.param(lambda: _tie_case(5e-324), dict(steps=3, samples=3, roundings=2, seed=35),
+                 "53f4a76eec239b51", id="tie-5e-324"),
+    pytest.param(lambda: gen_random(40, 20, 9, budget_scale=0.25), {}, "872d5b3b782a2706",
+                 id="40x20-b0.25"),
+    pytest.param(lambda: gen_random(30, 15, 7), {}, "0b995b23bd529b57", id="30x15-b1"),
+    pytest.param(lambda: gen_random(60, 30, 3), dict(steps=10), "d22f02c5240ef63d",
+                 id="60x30-b1-10steps"),
+    pytest.param(lambda: gen_random(20, 10, 11, budget_scale=100.0), {}, "d2bdc67d6ebfb88e",
+                 id="20x10-b100"),
+])
+def test_continuous_greedy_pinned_repr(make, kwargs, digest):
+    # the first 16 hex digits of the sha256 of the solution's repr,
+    # diagnostics included, as the one-buyer-at-a-time kernel printed it
+    sol = continuous_greedy(make(), **kwargs)
+    assert hashlib.sha256(repr(sol).encode()).hexdigest()[:16] == digest
 
 
 def _openblas_dynamic_arch() -> bool:

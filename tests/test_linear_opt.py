@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,6 +430,42 @@ def test_continuous_greedy_memory_is_the_copies_priced():
     inst = gen_random(200, 100, 1, budget_scale=25.0)
     assert _traced_peak(lambda: continuous_greedy(inst, steps=2, samples=32, roundings=8,
                                                   seed=1)) < 12e6
+
+
+def test_continuous_greedy_memory_at_five_steps():
+    # about 28 MB here, most of it the picked copies' n x picked desires
+    # (8.2 MB an array at step 5); with revenue's blocks unbounded, the
+    # copies' desires built whole peaked at 79.5 MB
+    inst = gen_random(200, 100, 1, budget_scale=25.0)
+    assert _traced_peak(lambda: continuous_greedy(inst, steps=5)) < 30e6
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy
+at_import = "numpy.ma" in sys.modules
+from datamarket import clearing, linear_opt, plc_opt
+from datamarket.fixtures import gen_random
+inst = gen_random(20, 10, 7, budget_scale=1.0)
+linear_opt.continuous_greedy(inst, steps=3)
+linear_opt.greedy(inst)
+linear_opt.exact_bruteforce(gen_random(5, 4, 1))
+shards = plc_opt.solve_plc(inst).shards
+clearing.clearabilize(clearing.market_from_prices(inst, inst.values[0]))
+clearing.clearabilize(clearing.shards_to_items(inst, shards))
+print(at_import, "numpy.ma" in sys.modules)
+"""
+
+
+def test_the_solvers_never_import_masked_arrays():
+    # numpy imports numpy.ma on first use of np.unique or np.union1d, which
+    # cost 19-30 ms a process; numpy before 2.0 imports it with numpy itself
+    src = str(Path(linear_opt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, check=True)
+    at_import, after = run.stdout.split()
+    assert after == at_import
 
 
 def test_exact_memory_is_the_grid_and_one_tile():
